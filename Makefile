@@ -250,9 +250,10 @@ musestat-smoke:
 
 # Instrumentation-overhead guard: with obs disabled, chase and warm
 # retrieval allocs/op must stay within the recorded seed baselines
-# (see bench_guard_test.go).
+# (see bench_guard_test.go); the serving-path dialog guard lives in
+# internal/server/bench_guard_test.go.
 bench-guard:
-	MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
+	MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v . ./internal/server
 
 # Full benchmark sweep with allocation counts; compare against
 # BENCH_baseline.json (chase) and BENCH_retrieval_baseline.json

@@ -8,8 +8,9 @@
 //
 //	MUSE_BENCH_GUARD=1 go test -run TestBenchGuard .
 //
-// (or `make bench-guard`); unset, the test skips so the ordinary
-// suite stays fast.
+// (or `make bench-guard`, which also runs internal/server's guard on
+// BenchmarkServerDialog); unset, the test skips so the ordinary suite
+// stays fast.
 package muse_test
 
 import (

@@ -15,11 +15,15 @@
 // differentiate the alternatives, and construct synthetic canonical
 // examples otherwise.
 //
-// Two calling conventions host the dialogs. Session.Run is the
-// callback form: it drives Muse-D then Muse-G, invoking the designer
-// interfaces inline. Stepper inverts that into a resumable
-// question/answer state machine for servers (internal/server exposes
-// it over HTTP).
+// The wizards keep each dialog as explicit state — the mappings still
+// ambiguous, the grouping function under design, its candidates still
+// to probe — which advances one question per submitted answer. Two
+// calling conventions drive that one state. Session.Run (and
+// DesignMapping, DesignSK, Disambiguate, DisambiguateAll) is the
+// callback form: a loop that asks the designer interfaces and submits
+// their answers. Stepper serves the same state one call at a time for
+// servers (internal/server exposes it over HTTP); between calls
+// nothing runs, so a parked dialog holds no goroutine.
 //
 // Invariants:
 //
@@ -28,8 +32,10 @@
 //     whether driven through Session.Run or a Stepper.
 //   - Every example shown satisfies the source constraints (SrcDeps);
 //     the wizards verify this before posing a question.
-//   - Wizard work is bounded by the wizard's Ctx: once it is
-//     cancelled, retrieval and chases abort promptly and the dialog
-//     unwinds with the context's error (cancellation is session-fatal
-//     by design — dialogs are short and cheap to replay).
+//   - Wizard work is bounded by the context of the call doing it (a
+//     Stepper's NewStepper or Answer; Close cancels it and the
+//     prefetches that outlive it): once cancelled, retrieval and chases
+//     abort promptly and the dialog fails with the context's error
+//     (cancellation is session-fatal by design — dialogs are short and
+//     cheap to replay).
 package core

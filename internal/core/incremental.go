@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
-	"muse/internal/chase"
 	"muse/internal/mapping"
 )
 
@@ -17,53 +18,35 @@ func (w *GroupingWizard) GroupLess(m *mapping.Mapping, fn string, d GroupingDesi
 	if sk == nil {
 		return nil, fmt.Errorf("core: mapping %s has no grouping function %s", m.Name, fn)
 	}
-	return w.refineSK(m, fn, append([]mapping.Expr{}, sk.SK.Args...), d)
-}
-
-// refineSK runs the probe loop with a non-empty starting confirmed
-// set.
-func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []mapping.Expr, d GroupingDesigner) (*mapping.Mapping, error) {
-	poss := m.Poss()
-	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
-	imps := tableauImplications(m, w.SrcDeps)
-	eqClass := newExprClasses(m.ForSat)
-
-	inConfirmed := make(map[string]bool, len(confirmed))
-	for _, e := range confirmed {
-		inConfirmed[e.String()] = true
-	}
-	decidedOut := make(map[mapping.Expr]bool)
-	for _, probe := range poss {
-		if inConfirmed[probe.String()] {
+	s := w.probeState(m, fn)
+	s.confirmed = append([]mapping.Expr{}, sk.SK.Args...)
+	for _, probe := range s.poss {
+		if slices.Contains(s.confirmed, probe) {
 			continue
 		}
-		if coversPoss(confirmed, poss, imps) {
+		stop, skip := s.settled(probe)
+		if stop {
 			break
 		}
-		if inClosure(confirmed, probe, imps) {
+		if skip {
 			continue
 		}
-		if eqClass.anyDecided(probe, decidedOut) {
-			decidedOut[probe] = true
-			continue
-		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, nil, nil, d, &stats)
+		q, err := s.probeQuestion(context.TODO(), probe, nil)
 		if err != nil {
 			return nil, err
 		}
-		if skipped {
+		if q == nil {
 			continue
 		}
-		if ans == 1 {
-			confirmed = append(confirmed, probe)
-			inConfirmed[probe.String()] = true
-		} else {
-			decidedOut[probe] = true
+		ans, err := choose(d, q)
+		if err != nil {
+			return nil, err
 		}
+		s.decide(probe, ans)
 	}
-	stats.Result = confirmed
-	w.Stats.SKs = append(w.Stats.SKs, stats)
-	return m.WithSK(fn, confirmed), nil
+	s.stats.Result = s.confirmed
+	w.Stats.SKs = append(w.Stats.SKs, s.stats)
+	return s.designed(), nil
 }
 
 // GroupMore refines an already-designed grouping function by asking,
@@ -74,6 +57,7 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 	if sk == nil {
 		return nil, fmt.Errorf("core: mapping %s has no grouping function %s", m.Name, fn)
 	}
+	ctx := context.TODO()
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
 	keep := append([]mapping.Expr{}, sk.SK.Args...)
@@ -84,17 +68,7 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 		// Copies agree on the other kept arguments; the candidate
 		// differs. Scenario 1 keeps the argument (two groups),
 		// scenario 2 drops it (one group).
-		var undecided []mapping.Expr
-		inRest := make(map[string]bool, len(rest))
-		for _, e := range rest {
-			inRest[e.String()] = true
-		}
-		for _, e := range poss {
-			if e != probe && !inRest[e.String()] {
-				undecided = append(undecided, e)
-			}
-		}
-		tb, ok := buildProbeTableau(m, w.SrcDeps, rest, undecided, []mapping.Expr{probe})
+		tb, ok := w.probeSetup(m, poss, rest, nil, probe, nil)
 		if !ok {
 			// The remaining arguments force this one to agree: it is
 			// redundant and can be dropped without asking.
@@ -102,18 +76,13 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 			i--
 			continue
 		}
-		tb.finalize()
 		d1 := m.WithSK(fn, keep)
 		d2 := m.WithSK(fn, rest)
-		ie, real, err := w.obtainExample(tb, []mapping.Expr{probe}, &stats)
+		ie, real, err := w.obtainExample(ctx, tb, []mapping.Expr{probe}, &stats)
 		if err != nil {
 			return nil, err
 		}
-		s1, err := chase.Chase(ie, d1)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := chase.Chase(ie, d2)
+		s1, s2, err := w.scenarios(ctx, ie, d1, d2, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +92,7 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 			Scenario1: s1, Scenario2: s2,
 			Include1: append([]mapping.Expr{}, keep...), Include2: rest,
 		}
-		ans, err := d.ChooseScenario(q)
+		ans, err := choose(d, q)
 		if err != nil {
 			return nil, err
 		}

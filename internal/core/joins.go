@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -308,7 +309,7 @@ func (w *DisambiguationWizard) danglingExample(m *mapping.Mapping, v JoinVariant
 	tb.finalize()
 	if w.Real != nil {
 		q := tb.realQuery(nil)
-		opt := w.retrieval()
+		opt := w.retrieval(context.TODO())
 		opt.Limit = 64
 		matches, err := q.Eval(w.Real, opt)
 		if err == nil {
@@ -358,6 +359,6 @@ func (w *DisambiguationWizard) extends(m *mapping.Mapping, v JoinVariant, match 
 		}
 		q.Atoms = append(q.Atoms, atom)
 	}
-	_, ok, _ := q.FirstOpts(w.Real, w.retrieval())
+	_, ok, _ := q.FirstOpts(w.Real, w.retrieval(context.TODO()))
 	return ok
 }

@@ -30,9 +30,6 @@ type DisambiguationWizard struct {
 	// session (shared with Muse-G when both run in one Session). Left
 	// nil, it is created lazily on the first retrieval.
 	Store *query.IndexStore
-	// Parallel > 1 races that many partitions of each retrieval's
-	// candidate space under the timeout (deterministic results).
-	Parallel int
 	// Ranker, when non-nil, scores each or-group's alternatives
 	// against the real-instance evidence and attaches the rankings to
 	// the question envelope. Advisory only; nil adds no work.
@@ -41,31 +38,17 @@ type DisambiguationWizard struct {
 	// registry (muse_mused_*), threads through to the chase and query
 	// engines, and records one "mused.disambiguate" span per question.
 	Obs *obs.Obs
-	// Ctx, when non-nil, bounds the wizard's work: example retrieval
-	// and the partial-target chase abort with Ctx.Err() once it is
-	// cancelled, unwinding Disambiguate with that error. Nil means
-	// context.Background().
-	Ctx context.Context
 	// Stats accumulates per-mapping effort.
 	Stats DStats
 }
 
-// context returns the wizard's bounding context, defaulting to
-// Background.
-func (w *DisambiguationWizard) context() context.Context {
-	if w.Ctx != nil {
-		return w.Ctx
-	}
-	return context.Background()
-}
-
-// retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use.
-func (w *DisambiguationWizard) retrieval() query.Options {
+// retrieval returns the query options for one real-example retrieval
+// under ctx, creating the session's index store on first use.
+func (w *DisambiguationWizard) retrieval(ctx context.Context) query.Options {
 	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
 		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
 	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Parallel: w.Parallel, Obs: w.Obs}
+	return query.Options{Timeout: w.Timeout, Ctx: ctx, Store: w.Store, Obs: w.Obs}
 }
 
 // DStats records Muse-D effort, feeding the Sec. VI Muse-D table.
@@ -118,15 +101,33 @@ func NewDisambiguationWizard(srcDeps *deps.Set, real *instance.Instance) *Disamb
 // mapping m and translates the designer's selections into unambiguous
 // mappings (one, or several when the designer multi-selects).
 func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d DisambiguationDesigner) ([]*mapping.Mapping, error) {
-	if !m.Ambiguous() {
-		return []*mapping.Mapping{m.Clone()}, nil
+	dl := &dialog{dw: w, amb: []*mapping.Mapping{m}}
+	if err := dl.run(nil, d); err != nil {
+		return nil, err
 	}
+	return dl.out, nil
+}
+
+// DisambiguateAll runs Muse-D over every ambiguous mapping of a set,
+// returning the fully unambiguous mapping set (Sec. V).
+func (w *DisambiguationWizard) DisambiguateAll(set *mapping.Set, d DisambiguationDesigner) (*mapping.Set, error) {
+	dl := &dialog{dw: w, set: set, amb: set.Mappings}
+	if err := dl.run(nil, d); err != nil {
+		return nil, err
+	}
+	return dl.step.Result, nil
+}
+
+// question builds the Muse-D question for the ambiguous mapping m: one
+// example source, real when the instance has one, and the partial
+// target it chases into with a choice list per or-group.
+func (w *DisambiguationWizard) question(ctx context.Context, m *mapping.Mapping) (*ChoiceQuestion, error) {
 	if _, err := m.Analyze(); err != nil {
 		return nil, err
 	}
 	// The span parents into the current request's trace; the example
 	// retrieval and the partial chase below run under its context.
-	sp, sctx := w.Obs.StartCtx(w.context(), obs.SpanMuseD)
+	sp, sctx := w.Obs.StartCtx(ctx, obs.SpanMuseD)
 	defer sp.End()
 
 	// One copy of the canonical tableau; the or-group alternatives must
@@ -157,9 +158,7 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	real := false
 	var valueOf func(e mapping.Expr) instance.Value
 	if w.Real != nil {
-		opt := w.retrieval()
-		opt.Ctx = sctx
-		if match, ok, _ := q.FirstOpts(w.Real, opt); ok {
+		if match, ok, _ := q.FirstOpts(w.Real, w.retrieval(sctx)); ok {
 			ie = tb.fromMatch(match, w.Real)
 			real = true
 			valueOf = func(e mapping.Expr) instance.Value {
@@ -206,54 +205,39 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 		}
 		question.Rankings = w.Ranker.ScoreChoices(m)
 	}
-	// End as the question is posed (see askProbe): the selection
-	// arrives with the next request, and the span must land in the
-	// trace of the request that built the example and partial chase.
+	// End as the question is posed (see probeQuestion): the selection
+	// arrives with a later call, and the span must land in the trace of
+	// the request that built the example and partial chase.
 	sp.Attr("mapping", m.Name).Attr("alternatives", m.AlternativeCount()).Attr("real", real).End()
-	selected, err := d.SelectValues(question)
-	if err != nil {
-		return nil, err
-	}
+	return question, nil
+}
+
+// interpret translates the designer's selections on q into the
+// unambiguous mappings they choose, and records the question's effort.
+func (w *DisambiguationWizard) interpret(q *ChoiceQuestion, selected [][]int) ([]*mapping.Mapping, error) {
+	m := q.Mapping
 	out, err := m.MultiInterpretation(selected)
 	if err != nil {
 		return nil, err
 	}
-
 	w.Stats.Mappings = append(w.Stats.Mappings, DMappingStats{
 		Mapping:      m.Name,
 		Alternatives: m.AlternativeCount(),
 		Questions:    1,
-		SourceTuples: ie.TupleCount(),
+		SourceTuples: q.Source.TupleCount(),
 		ChoiceValues: len(m.OrGroups),
-		Real:         real,
+		Real:         q.Real,
 	})
 	if w.Obs != nil {
 		r := w.Obs.Reg
 		r.Counter(obs.MMuseDQuestions).Inc()
 		r.Counter(obs.MMuseDAlternatives).Add(int64(m.AlternativeCount()))
-		if real {
+		if q.Real {
 			r.Counter(obs.MMuseDRealExamples).Inc()
 		} else {
 			r.Counter(obs.MMuseDSyntheticExamples).Inc()
 		}
-		r.Counter(obs.MMuseDSourceTuples).Add(int64(ie.TupleCount()))
+		r.Counter(obs.MMuseDSourceTuples).Add(int64(q.Source.TupleCount()))
 	}
 	return out, nil
-}
-
-// DisambiguateAll runs Muse-D over every ambiguous mapping of a set,
-// returning the fully unambiguous mapping set (Sec. V).
-func (w *DisambiguationWizard) DisambiguateAll(set *mapping.Set, d DisambiguationDesigner) (*mapping.Set, error) {
-	var out []*mapping.Mapping
-	for _, m := range set.Mappings {
-		if err := w.context().Err(); err != nil {
-			return nil, err
-		}
-		ms, err := w.Disambiguate(m, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ms...)
-	}
-	return mapping.NewSet(set.Src, set.Tgt, out...)
 }

@@ -45,9 +45,6 @@ type GroupingWizard struct {
 	// Left nil, it is created lazily on the first retrieval; a Session
 	// shares one store between Muse-G and Muse-D.
 	Store *query.IndexStore
-	// Parallel > 1 races that many partitions of each retrieval's
-	// candidate space under the timeout (deterministic results).
-	Parallel int
 	// Ranker, when non-nil, scores each posed question's options
 	// against the real-instance evidence and attaches the ranking to
 	// the question envelope. Purely advisory: it never changes which
@@ -58,34 +55,19 @@ type GroupingWizard struct {
 	// (muse_museg_*), threads through to the chase and query engines,
 	// and records "museg.*" spans. Nil disables all of it.
 	Obs *obs.Obs
-	// Ctx, when non-nil, bounds the wizard's work: example retrieval
-	// and scenario chases abort with Ctx.Err() once it is cancelled or
-	// past its deadline, unwinding DesignSK with that error. A server
-	// hosting the wizard installs the per-request context here before
-	// resuming the dialog (see Stepper); nil means context.Background().
-	Ctx context.Context
 	// Stats accumulates per-grouping-function effort.
 	Stats Stats
 }
 
-// context returns the wizard's bounding context, defaulting to
-// Background.
-func (w *GroupingWizard) context() context.Context {
-	if w.Ctx != nil {
-		return w.Ctx
-	}
-	return context.Background()
-}
-
-// retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use. It must be called
-// from the wizard's own goroutine; prefetch workers capture the
+// retrieval returns the query options for one real-example retrieval
+// under ctx, creating the session's index store on first use. It must
+// be called from the dialog's goroutine; prefetch workers capture the
 // returned value (the store itself is concurrency-safe).
-func (w *GroupingWizard) retrieval() query.Options {
+func (w *GroupingWizard) retrieval(ctx context.Context) query.Options {
 	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
 		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
 	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Parallel: w.Parallel, Obs: w.Obs}
+	return query.Options{Timeout: w.Timeout, Ctx: ctx, Store: w.Store, Obs: w.Obs}
 }
 
 // ranker returns the attached scorer with the session's shared index
@@ -125,15 +107,16 @@ func NewGroupingWizard(srcDeps *deps.Set, real *instance.Instance) *GroupingWiza
 // order of the target sets (Sec. III Step 1), and returns the refined
 // mapping.
 func (w *GroupingWizard) DesignMapping(m *mapping.Mapping, d GroupingDesigner) (*mapping.Mapping, error) {
-	cur := m
-	for _, fn := range w.skOrder(m) {
-		var err error
-		cur, err = w.DesignSK(cur, fn, d)
-		if err != nil {
-			return nil, err
-		}
+	return w.design(m, w.skOrder(m), d)
+}
+
+// design runs the Muse-G dialog over the grouping functions fns of m.
+func (w *GroupingWizard) design(m *mapping.Mapping, fns []string, d GroupingDesigner) (*mapping.Mapping, error) {
+	dl := &dialog{gw: w, cur: m, fns: fns}
+	if err := dl.run(d, nil); err != nil {
+		return nil, err
 	}
-	return cur, nil
+	return dl.out[0], nil
 }
 
 // skOrder returns the mapping's grouping-function names ordered by the
@@ -163,72 +146,93 @@ func (w *GroupingWizard) skOrder(m *mapping.Mapping) []string {
 // DesignSK designs the grouping function named fn of mapping m and
 // returns m with the designed arguments installed.
 func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesigner) (*mapping.Mapping, error) {
+	return w.design(m, []string{fn}, d)
+}
+
+// skDesign is the state of Muse-G designing one grouping function
+// (Sec. III): the attributes still to probe, in order, and what the
+// answers so far decided. next computes the following question and
+// answer applies the designer's reply; nothing runs in between.
+type skDesign struct {
+	w          *GroupingWizard
+	m          *mapping.Mapping
+	fn         string
+	poss       []mapping.Expr
+	imps       []deps.Implication
+	eqClass    *exprClasses
+	confirmed  []mapping.Expr
+	decidedOut map[mapping.Expr]bool
+	// candidates are probed in order; ci indexes the next (or pending)
+	// one.
+	candidates []mapping.Expr
+	ci         int
+	// alwaysDiffer holds the key attributes once the multi-key question
+	// chose non-key grouping: they stay distinct across copies.
+	alwaysDiffer []mapping.Expr
+	// keyAttrs and rest are set while the multi-key question of
+	// Sec. III-B is due or pending.
+	keyAttrs, rest []mapping.Expr
+	stats          SKStats
+	span           *obs.Span
+	spec           context.Context // bounds the retrievals prefetched during think time
+}
+
+// probeState is the bookkeeping every probe loop shares: the candidate
+// set poss, the implications that prune it, and the verdicts so far.
+func (w *GroupingWizard) probeState(m *mapping.Mapping, fn string) *skDesign {
+	poss := m.Poss()
+	return &skDesign{
+		w: w, m: m, fn: fn, poss: poss,
+		imps: tableauImplications(m, w.SrcDeps),
+		// Attributes joined by satisfy equalities always carry the same
+		// value, so one probe decides the whole equality class (the c.cid
+		// probe of Fig. 3(a) also decides p.cid).
+		eqClass:    newExprClasses(m.ForSat),
+		decidedOut: make(map[mapping.Expr]bool),
+		stats:      SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)},
+	}
+}
+
+// newSKDesign starts designing the grouping function fn of m; spec
+// bounds its prefetched retrievals.
+func (w *GroupingWizard) newSKDesign(spec context.Context, m *mapping.Mapping, fn string) (*skDesign, error) {
 	if m.SKFor(fn) == nil {
 		return nil, fmt.Errorf("core: mapping %s has no grouping function %s", m.Name, fn)
 	}
-	poss := m.Poss()
-	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
-	sp := w.Obs.Start(obs.SpanMuseGSK)
-	defer func() {
-		sp.Attr("mapping", m.Name).Attr("sk", fn).Attr("questions", stats.Questions).End()
-	}()
-	imps := tableauImplications(m, w.SrcDeps)
+	s := w.probeState(m, fn)
+	s.span, s.spec = w.Obs.Start(obs.SpanMuseGSK), spec
 	keyAttrs, rest := keyCovered(m, w.SrcDeps)
-
-	var confirmed []mapping.Expr
-	candidates := append(append([]mapping.Expr{}, keyAttrs...), rest...)
-	alwaysDiffer := []mapping.Expr(nil)
-
+	s.candidates = append(append([]mapping.Expr{}, keyAttrs...), rest...)
 	if multiKeyed(m, w.SrcDeps) && len(keyAttrs) > 0 {
 		// Sec. III-B, multiple keys: one question decides between
 		// grouping by key (same effect as any superset including any
 		// key) and grouping by a subset of the non-key attributes.
-		ans, err := w.askKeyGrouping(m, fn, keyAttrs, rest, d, &stats)
-		if err != nil {
-			return nil, err
-		}
-		if ans == 1 {
-			stats.Result = keyAttrs
-			w.recordSK(stats)
-			return m.WithSK(fn, keyAttrs), nil
-		}
-		// Restrict to non-key attributes; key attributes stay distinct
-		// across copies so every constructed instance satisfies all
-		// keys.
-		candidates = rest
-		alwaysDiffer = keyAttrs
+		s.keyAttrs, s.rest = keyAttrs, rest
 	}
+	return s, nil
+}
 
-	// Attributes joined by satisfy equalities always carry the same
-	// value, so one probe decides the whole equality class (the c.cid
-	// probe of Fig. 3(a) also decides p.cid).
-	eqClass := newExprClasses(m.ForSat)
+// next computes the next question, or returns nil once the grouping
+// function is designed.
+func (s *skDesign) next(ctx context.Context) (*GroupingQuestion, error) {
+	w := s.w
+	if s.keyAttrs != nil {
+		return w.keyGroupingQuestion(ctx, s.m, s.fn, s.keyAttrs, s.rest, &s.stats)
+	}
 	if w.Prefetch && w.prefetch == nil {
 		w.prefetch = newExampleCache()
-		defer w.prefetch.wait()
 	}
-	decidedOut := make(map[mapping.Expr]bool)
-	for ci, probe := range candidates {
-		if err := w.context().Err(); err != nil {
-			return nil, err
-		}
-		if coversPoss(confirmed, poss, imps) {
-			// Thm 3.2 / Cor 3.3: everything left is inconsequential.
+	for ; s.ci < len(s.candidates); s.ci++ {
+		probe := s.candidates[s.ci]
+		stop, skip := s.settled(probe)
+		if stop {
 			break
 		}
-		if inClosure(confirmed, probe, imps) {
-			// FD generalization of Thm 3.2: probe's membership cannot
-			// change the grouping semantics; skip the question.
-			continue
-		}
-		if decided := eqClass.anyDecided(probe, decidedOut); decided {
-			// An equality-correlate was already rejected; grouping by
-			// this attribute would have the identical (rejected) effect.
-			decidedOut[probe] = true
+		if skip {
 			continue
 		}
 		if w.InstanceOnly && w.Real != nil {
-			implied, err := w.dataImplied(m, confirmed, probe)
+			implied, err := w.dataImplied(ctx, s.m, s.confirmed, probe)
 			if err != nil {
 				return nil, err
 			}
@@ -237,88 +241,133 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 			}
 		}
 		var next *mapping.Expr
-		if ci+1 < len(candidates) {
-			next = &candidates[ci+1]
+		if s.ci+1 < len(s.candidates) {
+			next = &s.candidates[s.ci+1]
 		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, next, d, &stats)
-		if err != nil {
-			return nil, err
-		}
-		if skipped {
-			continue
-		}
-		if ans == 1 {
-			confirmed = append(confirmed, probe)
-		} else {
-			decidedOut[probe] = true
+		q, err := s.probeQuestion(ctx, probe, next)
+		if q != nil || err != nil {
+			return q, err
 		}
 	}
-
-	stats.Result = confirmed
-	w.recordSK(stats)
-	return m.WithSK(fn, confirmed), nil
+	s.stats.Result = s.confirmed
+	w.recordSK(s.stats)
+	s.end()
+	return nil, nil
 }
 
-// askProbe builds the probe example for one attribute, obtains a real
-// or synthetic instance, chases the two scenarios, and asks the
-// designer. skipped is true when the probe turned out inconsequential
-// (no question was posed).
-func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, next *mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
-	tb, ok := w.probeSetup(m, poss, confirmed, decidedOut, probe, alwaysDiffer)
+// answer applies the designer's answer (1 or 2) to the pending
+// question.
+func (s *skDesign) answer(ans int) {
+	if s.keyAttrs == nil {
+		s.decide(s.candidates[s.ci], ans)
+		s.ci++
+		return
+	}
+	s.stats.Questions++
+	if ans == 1 {
+		s.confirmed, s.candidates = s.keyAttrs, nil
+	} else {
+		// Restrict to non-key attributes; key attributes stay distinct
+		// across copies so every constructed instance satisfies all
+		// keys.
+		s.candidates, s.alwaysDiffer = s.rest, s.keyAttrs
+	}
+	s.keyAttrs, s.rest = nil, nil
+}
+
+// decide records the answer to a probe: 1 confirms the attribute into
+// the grouping, 2 rules it out.
+func (s *skDesign) decide(probe mapping.Expr, ans int) {
+	s.stats.Questions++
+	if ans == 1 {
+		s.confirmed = append(s.confirmed, probe)
+	} else {
+		s.decidedOut[probe] = true
+	}
+}
+
+// settled reports whether probe needs no question: stop when the
+// confirmed attributes already determine all of poss (Thm 3.2 / Cor
+// 3.3: everything left is inconsequential), skip when they determine
+// probe (the FD generalization of Thm 3.2) or an equality-correlate of
+// probe was already rejected (grouping by it would have the identical,
+// rejected effect).
+func (s *skDesign) settled(probe mapping.Expr) (stop, skip bool) {
+	if coversPoss(s.confirmed, s.poss, s.imps) {
+		return true, false
+	}
+	if inClosure(s.confirmed, probe, s.imps) {
+		return false, true
+	}
+	if s.eqClass.anyDecided(probe, s.decidedOut) {
+		s.decidedOut[probe] = true
+		return false, true
+	}
+	return false, false
+}
+
+// designed returns the mapping with the designed arguments installed.
+func (s *skDesign) designed() *mapping.Mapping { return s.m.WithSK(s.fn, s.confirmed) }
+
+// end closes the grouping function's span and waits for the
+// speculative retrievals in flight, so none outlives the design.
+// Idempotent.
+func (s *skDesign) end() {
+	s.span.Attr("mapping", s.m.Name).Attr("sk", s.fn).Attr("questions", s.stats.Questions).End()
+	s.w.prefetch.wait()
+}
+
+// probeQuestion builds the question probing one attribute: the
+// example, real or synthetic, and the two scenarios it chases into
+// (with and without the probe in the grouping). It returns nil when
+// the probe turns out inconsequential. next, when non-nil, is the
+// candidate after probe, whose example is prefetched during the
+// designer's think time.
+func (s *skDesign) probeQuestion(ctx context.Context, probe mapping.Expr, next *mapping.Expr) (*GroupingQuestion, error) {
+	w, m, fn, confirmed := s.w, s.m, s.fn, s.confirmed
+	tb, ok := w.probeSetup(m, s.poss, confirmed, s.decidedOut, probe, s.alwaysDiffer)
 	if !ok {
 		// The constraints force the probed attribute to agree whenever
 		// the confirmed ones do: its membership is inconsequential.
-		return 0, true, nil
+		return nil, nil
 	}
 
 	with := append(append([]mapping.Expr{}, confirmed...), probe)
 	d1 := m.WithSK(fn, with)
 	d2 := m.WithSK(fn, confirmed)
 
-	ie, real, err := w.obtainExampleCached(tb, fn, confirmed, decidedOut, probe, alwaysDiffer, stats)
+	ie, real, err := w.obtainExampleCached(ctx, tb, fn, confirmed, s.decidedOut, probe, s.alwaysDiffer, &s.stats)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	// The probe span parents into the CURRENT request's trace —
-	// w.context() is re-pointed by Stepper.install per request, so the
-	// two scenario chases below land in the trace of the request whose
-	// answer triggered this probe.
-	sp, pctx := w.Obs.StartCtx(w.context(), obs.SpanMuseGProbe)
+	// The probe span parents into the trace of the call computing this
+	// question, so the two scenario chases below land in the trace of
+	// the request whose answer triggered the probe.
+	sp, pctx := w.Obs.StartCtx(ctx, obs.SpanMuseGProbe)
 	defer sp.End()
-	chaseStart := time.Now()
-	s1, err := chase.ChaseCtx(pctx, ie, w.Obs, d1)
+	s1, s2, err := w.scenarios(pctx, ie, d1, d2, &s.stats)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	s2, err := chase.ChaseCtx(pctx, ie, w.Obs, d2)
-	if err != nil {
-		return 0, false, err
-	}
-	stats.ChaseTime += time.Since(chaseStart)
 	if homo.Isomorphic(s1, s2) {
 		if real {
 			// The real example is too coincidental to differentiate the
 			// scenarios; fall back to the synthetic instance.
 			ie = tb.synthetic()
 			real = false
-			stats.RealExamples--
-			stats.SyntheticExamples++
-			chaseStart = time.Now()
-			if s1, err = chase.ChaseCtx(pctx, ie, w.Obs, d1); err != nil {
-				return 0, false, err
+			s.stats.RealExamples--
+			s.stats.SyntheticExamples++
+			if s1, s2, err = w.scenarios(pctx, ie, d1, d2, &s.stats); err != nil {
+				return nil, err
 			}
-			if s2, err = chase.ChaseCtx(pctx, ie, w.Obs, d2); err != nil {
-				return 0, false, err
-			}
-			stats.ChaseTime += time.Since(chaseStart)
 		}
 		if homo.Isomorphic(s1, s2) {
-			return 0, true, nil
+			return nil, nil
 		}
 	}
 	if w.SrcDeps != nil {
 		if v := w.SrcDeps.Check(ie); len(v) > 0 {
-			return 0, false, fmt.Errorf("core: probe on %s constructed an invalid example: %v", probe, v[0])
+			return nil, fmt.Errorf("core: probe on %s constructed an invalid example: %v", probe, v[0])
 		}
 	}
 
@@ -335,55 +384,54 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 	// Use the designer's think time to retrieve the next probe's
 	// example speculatively, for both possible answers (Sec. VI).
 	if w.prefetch != nil && w.Real != nil && next != nil {
-		outPlus := copyDecided(decidedOut)
+		outPlus := copyDecided(s.decidedOut)
 		outPlus[probe] = true
-		w.spawnPrefetch(m, fn, poss, with, decidedOut, *next, alwaysDiffer)
-		w.spawnPrefetch(m, fn, poss, confirmed, outPlus, *next, alwaysDiffer)
+		w.spawnPrefetch(s.spec, m, fn, s.poss, with, s.decidedOut, *next, s.alwaysDiffer)
+		w.spawnPrefetch(s.spec, m, fn, s.poss, confirmed, outPlus, *next, s.alwaysDiffer)
 	}
-	// End the span as the question is posed, not when it is answered:
-	// the designer's think time crosses requests (the answer arrives
-	// with the next HTTP call), and the flight recorder needs the
-	// probe's compute spans completed within the request that did the
-	// work. The deferred End above is then a no-op.
+	// End the span as the question is posed: the answer arrives with a
+	// later call, and the flight recorder needs the probe's compute
+	// spans completed within the request that did the work. The
+	// deferred End above is then a no-op.
 	sp.Attr("probe", probe.String()).Attr("real", real).End()
-	ans, err := d.ChooseScenario(q)
-	if err != nil {
-		return 0, false, err
-	}
-	if ans != 1 && ans != 2 {
-		return 0, false, fmt.Errorf("core: designer answered %d, want 1 or 2", ans)
-	}
-	stats.Questions++
-	return ans, false, nil
+	return q, nil
 }
 
-// askKeyGrouping poses the multi-key question: copies agree on every
-// non-key attribute and differ on every key-covered attribute, so
-// grouping by (any) key yields two nested sets and grouping by any
+// scenarios chases the example into a question's two candidate
+// designs, adding the time taken to the stats.
+func (w *GroupingWizard) scenarios(ctx context.Context, ie *instance.Instance, d1, d2 *mapping.Mapping, stats *SKStats) (s1, s2 *instance.Instance, err error) {
+	start := time.Now()
+	if s1, err = chase.ChaseCtx(ctx, ie, w.Obs, d1); err != nil {
+		return nil, nil, err
+	}
+	if s2, err = chase.ChaseCtx(ctx, ie, w.Obs, d2); err != nil {
+		return nil, nil, err
+	}
+	stats.ChaseTime += time.Since(start)
+	return s1, s2, nil
+}
+
+// keyGroupingQuestion builds the multi-key question: copies agree on
+// every non-key attribute and differ on every key-covered attribute,
+// so grouping by (any) key yields two nested sets and grouping by any
 // non-key subset yields one.
-func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs, rest []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, error) {
+func (w *GroupingWizard) keyGroupingQuestion(ctx context.Context, m *mapping.Mapping, fn string, keyAttrs, rest []mapping.Expr, stats *SKStats) (*GroupingQuestion, error) {
 	tb, ok := buildProbeTableau(m, w.SrcDeps, nil, rest, keyAttrs)
 	if !ok {
-		return 0, fmt.Errorf("core: cannot construct the multi-key question for %s: key attributes collapse", fn)
+		return nil, fmt.Errorf("core: cannot construct the multi-key question for %s: key attributes collapse", fn)
 	}
 	tb.finalize()
 
 	d1 := m.WithSK(fn, keyAttrs)
 	d2 := m.WithSK(fn, nil)
-	ie, real, err := w.obtainExample(tb, keyAttrs, stats)
+	ie, real, err := w.obtainExample(ctx, tb, keyAttrs, stats)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	chaseStart := time.Now()
-	s1, err := chase.ChaseCtx(w.context(), ie, w.Obs, d1)
+	s1, s2, err := w.scenarios(ctx, ie, d1, d2, stats)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	s2, err := chase.ChaseCtx(w.context(), ie, w.Obs, d2)
-	if err != nil {
-		return 0, err
-	}
-	stats.ChaseTime += time.Since(chaseStart)
 	q := &GroupingQuestion{
 		Kind: QuestionKeyGrouping, Mapping: m, SK: fn,
 		Source: ie, Real: real, Scenario1: s1, Scenario2: s2,
@@ -393,15 +441,16 @@ func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs,
 		rk := w.ranker().ScoreKeyGrouping(m, keyAttrs, rest)
 		q.Ranking = &rk
 	}
+	return q, nil
+}
+
+// choose poses q to the designer and checks the answer is 1 or 2.
+func choose(d GroupingDesigner, q *GroupingQuestion) (int, error) {
 	ans, err := d.ChooseScenario(q)
 	if err != nil {
 		return 0, err
 	}
-	if ans != 1 && ans != 2 {
-		return 0, fmt.Errorf("core: designer answered %d, want 1 or 2", ans)
-	}
-	stats.Questions++
-	return ans, nil
+	return ans, checkScenario(ans)
 }
 
 // probeSetup computes the agreement pattern of a probe (Sec. III-A) —
@@ -458,13 +507,13 @@ func copyDecided(m map[mapping.Expr]bool) map[mapping.Expr]bool {
 
 // spawnPrefetch starts a background retrieval of the example for a
 // future probe pattern.
-func (w *GroupingWizard) spawnPrefetch(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) {
+func (w *GroupingWizard) spawnPrefetch(ctx context.Context, m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) {
 	key := patternKey(fn, confirmed, decidedOut, probe, alwaysDiffer)
 	confirmed = append([]mapping.Expr{}, confirmed...)
 	decidedOut = copyDecided(decidedOut)
 	// Resolve the retrieval options (and thus the shared store) on the
 	// wizard goroutine; the worker only reads the copied value.
-	opt := w.retrieval()
+	opt := w.retrieval(ctx)
 	w.prefetch.spawn(key, func() (*instance.Instance, bool) {
 		tb, ok := w.probeSetup(m, poss, confirmed, decidedOut, probe, alwaysDiffer)
 		if !ok {
@@ -481,7 +530,7 @@ func (w *GroupingWizard) spawnPrefetch(m *mapping.Mapping, fn string, poss, conf
 
 // obtainExampleCached consults the prefetch cache before falling back
 // to a synchronous retrieval.
-func (w *GroupingWizard) obtainExampleCached(tb *tableau, fn string, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
+func (w *GroupingWizard) obtainExampleCached(ctx context.Context, tb *tableau, fn string, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
 	if w.prefetch != nil {
 		key := patternKey(fn, confirmed, decidedOut, probe, alwaysDiffer)
 		if entry := w.prefetch.lookup(key); entry != nil {
@@ -499,17 +548,17 @@ func (w *GroupingWizard) obtainExampleCached(tb *tableau, fn string, confirmed [
 			return ie, false, nil
 		}
 	}
-	return w.obtainExample(tb, []mapping.Expr{probe}, stats)
+	return w.obtainExample(ctx, tb, []mapping.Expr{probe}, stats)
 }
 
 // obtainExample retrieves a real example via the probe query, falling
 // back to the synthetic instance on a miss or timeout.
-func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
+func (w *GroupingWizard) obtainExample(ctx context.Context, tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
 		q := tb.realQuery(differ)
-		match, ok, _ := q.FirstOpts(w.Real, w.retrieval())
+		match, ok, _ := q.FirstOpts(w.Real, w.retrieval(ctx))
 		if ok {
 			stats.RealExamples++
 			ie := tb.fromMatch(match, w.Real)
@@ -530,11 +579,11 @@ func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats
 // are enumerated through the shared index store (the mapping's
 // canonical tableau as a query); a retrieval that times out before
 // enumerating every assignment conservatively keeps the question.
-func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
+func (w *GroupingWizard) dataImplied(ctx context.Context, m *mapping.Mapping, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
 	tb := newTableau(m, 1)
 	tb.finalize()
 	q := tb.realQuery(nil)
-	matches, err := q.Eval(w.Real, w.retrieval())
+	matches, err := q.Eval(w.Real, w.retrieval(ctx))
 	if err != nil {
 		if err == query.ErrTimeout {
 			return false, nil

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,5 +82,59 @@ func TestPrefetchReducesWait(t *testing.T) {
 	}
 	if rec.ExampleTime < 0 {
 		t.Error("negative example time")
+	}
+}
+
+// posed records each grouping question a designer is asked, then
+// answers it through inner.
+type posed struct {
+	inner core.GroupingDesigner
+	log   []string
+}
+
+func (p *posed) ChooseScenario(q *core.GroupingQuestion) (int, error) {
+	p.log = append(p.log, fmt.Sprintf("%s %s real=%v", q.SK, q.Probe, q.Real))
+	return p.inner.ChooseScenario(q)
+}
+
+// TestStepperPrefetchMatchesSessionRun: with the prefetcher on, a
+// Stepper poses the questions Session.Run poses, real examples
+// included — the retrievals a call starts for the designer's think
+// time still complete after that call returns.
+func TestStepperPrefetchMatchesSessionRun(t *testing.T) {
+	fig := func() *scenarios.Figure1 {
+		f := scenarios.NewFigure1(false)
+		f.Source.MustInsertVals("Companies", "113", "SBC", "Almaden")
+		f.Source.MustInsertVals("Projects", "p3", "WiFi", "113", "e16")
+		return f
+	}
+	f := fig()
+	run := &posed{inner: fig1Oracle()}
+	want, err := core.NewSession(f.SrcDeps, f.Source).Run(f.Set, run, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f = fig()
+	s := core.NewSession(f.SrcDeps, f.Source)
+	s.Grouping.Prefetch = true
+	st := core.NewStepper(context.Background(), s, f.Set)
+	defer st.Close()
+	stepped := &posed{inner: fig1Oracle()}
+	final := driveStepper(t, st, stepped, nil)
+	if final.Err != nil {
+		t.Fatal(final.Err)
+	}
+	if got, want := strings.Join(stepped.log, "\n"), strings.Join(run.log, "\n"); got != want {
+		t.Fatalf("prefetching stepper posed different questions:\n--- stepper ---\n%s\n--- Session.Run ---\n%s", got, want)
+	}
+	if !strings.Contains(strings.Join(run.log[1:], "\n"), "real=true") {
+		t.Fatalf("no real example after the first question, so prefetch is untested:\n%s", strings.Join(run.log, "\n"))
+	}
+	if got, want := formatSet(final.Result), formatSet(want); got != want {
+		t.Fatalf("prefetching stepper result differs:\n%s\nvs\n%s", got, want)
+	}
+	if got := s.Grouping.Stats.SKs[0].RealExamples; got == 0 {
+		t.Fatal("prefetching stepper used no real example")
 	}
 }

@@ -67,19 +67,17 @@ func (s *Session) Rank(threshold float64) *Session {
 }
 
 // Run drives the full pipeline on a schema mapping and returns the
-// refined, unambiguous mapping set.
+// refined, unambiguous mapping set. It loops over the same dialog
+// state a Stepper serves, so the two are equivalent by construction.
 func (s *Session) Run(set *mapping.Set, gd GroupingDesigner, dd DisambiguationDesigner) (*mapping.Set, error) {
-	unambiguous, err := s.Disambiguation.DisambiguateAll(set, dd)
-	if err != nil {
+	d := s.dialog(set)
+	if err := d.run(gd, dd); err != nil {
 		return nil, err
 	}
-	var out []*mapping.Mapping
-	for _, m := range unambiguous.Mappings {
-		refined, err := s.Grouping.DesignMapping(m, gd)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, refined)
-	}
-	return mapping.NewSet(set.Src, set.Tgt, out...)
+	return d.step.Result, nil
+}
+
+// dialog starts the full pipeline over set: Muse-D, then Muse-G.
+func (s *Session) dialog(set *mapping.Set) *dialog {
+	return &dialog{gw: s.Grouping, dw: s.Disambiguation, set: set, amb: set.Mappings}
 }

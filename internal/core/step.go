@@ -42,31 +42,23 @@ type Step struct {
 	Done bool
 	// Result is the refined, unambiguous mapping set (terminal success).
 	Result *mapping.Set
-	// Err is the terminal failure, when the pipeline aborted (designer
+	// Err is the terminal failure, when the dialog aborted (request
 	// context cancelled, invalid example, stepper closed).
 	Err error
 }
 
-// pendingQ carries one wizard question across the inversion boundary,
-// with the channel the answer travels back on.
-type pendingQ struct {
-	g     *GroupingQuestion
-	c     *ChoiceQuestion
-	reply chan Answer
-}
-
-// Stepper inverts the callback-style wizard dialog (Session.Run calls
-// the designer; the designer blocks) into a resumable question/answer
-// state machine: the pipeline runs in its own goroutine against a
-// channel-backed designer, and callers pull the pending question with
-// Step and push replies with Answer — exactly the shape an HTTP
-// handler needs to serve one wizard session across many requests
-// (Sec. III/IV dialogs over the wire).
+// Stepper serves a wizard dialog one question at a time — the shape an
+// HTTP handler needs to host one session across many requests
+// (Sec. III/IV dialogs over the wire). It holds the dialog state
+// Session.Run loops over: NewStepper and Answer compute the next
+// question within the call, and Step returns the pending one without
+// blocking. Between calls nothing runs, so a parked session costs only
+// its state.
 //
-// A Stepper is NOT safe for concurrent use: callers serialize Step /
-// Answer / Close themselves (the server's SessionManager holds a
-// per-session mutex). Close may be called concurrently with the
-// others; it is idempotent.
+// A Stepper is NOT safe for concurrent use: callers serialize its
+// methods (the server's SessionManager holds a per-session mutex),
+// except Close, which may be called concurrently with the others and
+// is idempotent.
 //
 // Cancellation semantics: the context passed to Answer (or NewStepper,
 // for the work leading to the first question) bounds the wizard work
@@ -77,19 +69,7 @@ type pendingQ struct {
 // replaying it is cheap by design (the paper's point is that dialogs
 // are short).
 type Stepper struct {
-	session *Session
-
-	// lifetime is cancelled by Close; the channel designer selects on
-	// it so the pipeline goroutine can never leak.
-	lifetime context.Context
-	cancel   context.CancelFunc
-
-	questions chan *pendingQ
-	finished  chan struct{}
-	result    *mapping.Set
-	runErr    error
-
-	cur *pendingQ
+	d   *dialog
 	seq int
 
 	// accepted logs every answer the dialog has accepted, in order.
@@ -98,212 +78,90 @@ type Stepper struct {
 	// deterministic in (scenario, answers), which internal/crosscheck's
 	// wizard oracle proves byte-for-byte.
 	accepted []Answer
-
-	// stopRelay releases the context.AfterFunc relay that ties the
-	// currently installed work context to lifetime.
-	stopRelay func() bool
-
-	// stepSpan is the open core.step span covering the wizard work
-	// toward the next question (opened by NewStepper/Answer, ended when
-	// Step delivers). Callers serialize Step/Answer, so no lock.
-	stepSpan *obs.Span
-
-	closeOnce sync.Once
-}
-
-// obsHandle returns the session's observability bundle (nil when the
-// session is uninstrumented; every use is nil-safe).
-func (st *Stepper) obsHandle() *obs.Obs {
-	if st.session == nil || st.session.Grouping == nil {
-		return nil
-	}
-	return st.session.Grouping.Obs
-}
-
-// endStepSpan closes the open core.step span, if any.
-func (st *Stepper) endStepSpan() {
-	if st.stepSpan != nil {
-		st.stepSpan.Attr("seq", st.seq).End()
-		st.stepSpan = nil
-	}
+	// stopSpec cancels the dialog's spec context, so prefetched
+	// retrievals, which outlive the call that starts them, end at Close.
+	stopSpec context.CancelFunc
+	// mu guards the cancel function of the latest call, which Close
+	// invokes concurrently with the other methods.
+	mu     sync.Mutex
+	cancel context.CancelFunc
 }
 
 // NewStepper starts the full design pipeline (Muse-D then Muse-G, as
-// Session.Run) over the mapping set and returns a stepper holding its
-// dialog. ctx bounds the work up to the first pending question. The
-// caller must eventually Close the stepper (finishing the dialog also
-// suffices) or the pipeline goroutine blocks forever on its next
-// question.
+// Session.Run) over the mapping set and computes its first question
+// under ctx.
 func NewStepper(ctx context.Context, s *Session, set *mapping.Set) *Stepper {
-	lifetime, cancel := context.WithCancel(context.Background())
-	st := &Stepper{
-		session:   s,
-		lifetime:  lifetime,
-		cancel:    cancel,
-		questions: make(chan *pendingQ),
-		finished:  make(chan struct{}),
-	}
-	// The work toward the first question runs under a core.step span
-	// parented into ctx's trace (when one is carried): install hands
-	// the span-deriving context to the wizards, so their chase/query
-	// spans become its children.
-	sp, wctx := st.obsHandle().StartCtx(ctx, obs.SpanCoreStep)
-	st.stepSpan = sp
-	st.install(wctx)
-	d := &chanDesigner{st: st}
-	d.p.reply = make(chan Answer)
-	go func() {
-		out, err := s.Run(set, d, d)
-		st.result, st.runErr = out, err
-		close(st.finished)
-	}()
+	st := &Stepper{d: s.dialog(set)}
+	st.d.spec, st.stopSpec = context.WithCancel(context.Background())
+	st.work(ctx, nil)
 	return st
 }
 
-// install points both wizards at a work context derived from the
-// request context reqCtx but also cancelled when the stepper's
-// lifetime ends. It must only be called while the pipeline goroutine
-// is parked (before it starts, or while it waits for an answer): the
-// subsequent channel send/receive gives the goroutine a happens-before
-// edge to the new Ctx values.
-func (st *Stepper) install(reqCtx context.Context) {
-	if reqCtx == nil {
-		reqCtx = context.Background()
-	}
-	if st.stopRelay != nil {
-		st.stopRelay()
-	}
-	work, cancel := context.WithCancel(reqCtx)
-	st.stopRelay = context.AfterFunc(st.lifetime, cancel)
-	st.session.Grouping.Ctx = work
-	st.session.Disambiguation.Ctx = work
-}
-
-// chanDesigner implements GroupingDesigner and DisambiguationDesigner
-// by shipping each question to the stepper and blocking until the
-// answer arrives (or the stepper is closed).
-//
-// The envelope p and its reply channel are allocated once and reused
-// for every question: questions are strictly serialized (one pending
-// at a time), and each reuse is separated from the last by the
-// questions-send / reply-receive handoffs, whose happens-before edges
-// make the field rewrites safe. The question objects the envelope
-// points at are freshly built by the wizards each ask, so Step values
-// handed out earlier never alias a later question.
-type chanDesigner struct {
-	st *Stepper
-	p  pendingQ
-}
-
-func (d *chanDesigner) ask() (Answer, error) {
-	select {
-	case d.st.questions <- &d.p:
-	case <-d.st.lifetime.Done():
-		return Answer{}, d.st.lifetime.Err()
-	}
-	select {
-	case a := <-d.p.reply:
-		return a, nil
-	case <-d.st.lifetime.Done():
-		return Answer{}, d.st.lifetime.Err()
-	}
-}
-
-// ChooseScenario implements GroupingDesigner.
-func (d *chanDesigner) ChooseScenario(q *GroupingQuestion) (int, error) {
-	d.p.g, d.p.c = q, nil
-	a, err := d.ask()
-	if err != nil {
-		return 0, err
-	}
-	return a.Scenario, nil
-}
-
-// SelectValues implements DisambiguationDesigner.
-func (d *chanDesigner) SelectValues(q *ChoiceQuestion) ([][]int, error) {
-	d.p.g, d.p.c = nil, q
-	a, err := d.ask()
-	if err != nil {
-		return nil, err
-	}
-	return a.Choices, nil
-}
-
-// Step returns the current step: the pending question, or the terminal
-// state. It blocks (under ctx) while the pipeline is computing the
-// next question; a ctx abort returns ctx.Err() without advancing the
-// dialog.
-func (st *Stepper) Step(ctx context.Context) (Step, error) {
-	if st.cur != nil {
-		return st.pendingStep(), nil
-	}
-	select {
-	case <-st.finished:
-		st.endStepSpan()
-		return st.terminalStep(), nil
-	default:
-	}
+// work does one call's wizard work — toward the first question when a
+// is nil, else applying a and advancing — under a core.step span
+// parented into ctx's trace and a context Close cancels.
+func (st *Stepper) work(ctx context.Context, a *Answer) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case p := <-st.questions:
+	sp, ctx := st.d.gw.Obs.StartCtx(ctx, obs.SpanCoreStep)
+	ctx, cancel := context.WithCancel(ctx)
+	st.mu.Lock()
+	st.cancel = cancel
+	if st.closed() {
+		cancel()
+	}
+	st.mu.Unlock()
+	if a == nil {
+		st.d.advance(ctx)
+	} else {
+		st.d.answer(ctx, *a)
+	}
+	cancel()
+	if !st.d.step.Done {
 		st.seq++
-		st.cur = p
-		st.endStepSpan()
-		return st.pendingStep(), nil
-	case <-st.finished:
-		st.endStepSpan()
-		return st.terminalStep(), nil
-	case <-ctx.Done():
+	}
+	sp.Attr("seq", st.seq).End()
+}
+
+// Step returns the current step: the pending question, or the terminal
+// state. It never blocks and never fails; the work toward each
+// question is done by the call that made it due.
+func (st *Stepper) Step(context.Context) (Step, error) {
+	return st.current(), nil
+}
+
+func (st *Stepper) current() Step {
+	if st.closed() && !st.d.step.Done {
+		st.d.stop(context.Canceled)
+	}
+	step := st.d.step
+	step.Seq = st.seq
+	return step
+}
+
+// Answer validates a against the pending question, applies it, and
+// returns the next step. The wizard work computing the next question
+// runs under ctx: cancelling it aborts the work, leaves the session
+// terminally failed, and returns ctx's error, as Answer on a stepper
+// Close cut short returns context.Canceled. An ErrInvalidAnswer leaves
+// the pending question untouched.
+func (st *Stepper) Answer(ctx context.Context, a Answer) (Step, error) {
+	if step := st.current(); step.Err != nil && st.closed() {
+		return Step{}, step.Err
+	}
+	if err := st.d.validate(a); err != nil {
+		return Step{}, err
+	}
+	// Log the answer before the work toward the next question, so a
+	// dialog that dies computing that question (request context
+	// cancelled) still has the complete accepted prefix for replay.
+	st.accepted = append(st.accepted, cloneAnswer(a))
+	st.work(ctx, &a)
+	if ctx != nil && ctx.Err() != nil {
 		return Step{}, ctx.Err()
 	}
-}
-
-func (st *Stepper) pendingStep() Step {
-	return Step{Seq: st.seq, Grouping: st.cur.g, Choice: st.cur.c}
-}
-
-func (st *Stepper) terminalStep() Step {
-	return Step{Seq: st.seq, Done: true, Result: st.result, Err: st.runErr}
-}
-
-// Answer validates a against the pending question, delivers it, and
-// returns the next step. The wizard work computing the next question
-// runs under ctx: cancelling it aborts the work promptly and leaves
-// the session terminally failed. An ErrInvalidAnswer leaves the
-// pending question untouched.
-func (st *Stepper) Answer(ctx context.Context, a Answer) (Step, error) {
-	cur, err := st.Step(ctx)
-	if err != nil {
-		return Step{}, err
-	}
-	if cur.Done {
-		return Step{}, fmt.Errorf("core: session already finished: %w", ErrInvalidAnswer)
-	}
-	if err := validateAnswer(st.cur, a); err != nil {
-		return Step{}, err
-	}
-	// One core.step span per accepted answer: it parents the wizard
-	// work toward the next question (install hands its context to the
-	// wizards) and ends when Step delivers that question.
-	st.endStepSpan()
-	sp, wctx := st.obsHandle().StartCtx(ctx, obs.SpanCoreStep)
-	st.stepSpan = sp
-	st.install(wctx)
-	p := st.cur
-	st.cur = nil
-	select {
-	case p.reply <- a:
-	case <-st.lifetime.Done():
-		return Step{}, st.lifetime.Err()
-	}
-	// The answer is accepted the moment the pipeline consumes it: log it
-	// before waiting on the next question, so a dialog that dies while
-	// computing that question (request context cancelled) still has the
-	// complete accepted prefix available for replay.
-	st.accepted = append(st.accepted, cloneAnswer(a))
-	return st.Step(ctx)
+	return st.current(), nil
 }
 
 // cloneAnswer deep-copies an answer so the log is immune to callers
@@ -348,12 +206,7 @@ func (st *Stepper) Snapshot() []Answer {
 func ResumeStepper(ctx context.Context, s *Session, set *mapping.Set, answers []Answer) (*Stepper, error) {
 	st := NewStepper(ctx, s, set)
 	for i, a := range answers {
-		step, err := st.Step(ctx)
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("core: resume: awaiting question %d: %w", i+1, err)
-		}
-		if step.Done {
+		if step := st.current(); step.Done {
 			st.Close()
 			return nil, fmt.Errorf("core: resume: dialog ended after %d of %d recorded answers (err=%v)", i, len(answers), step.Err)
 		}
@@ -365,53 +218,29 @@ func ResumeStepper(ctx context.Context, s *Session, set *mapping.Set, answers []
 	return st, nil
 }
 
-func validateAnswer(p *pendingQ, a Answer) error {
-	switch {
-	case p.g != nil:
-		if a.Scenario != 1 && a.Scenario != 2 {
-			return fmt.Errorf("core: grouping question wants scenario 1 or 2, got %d: %w", a.Scenario, ErrInvalidAnswer)
-		}
-	case p.c != nil:
-		if len(a.Choices) != len(p.c.Choices) {
-			return fmt.Errorf("core: choice question wants %d selections, got %d: %w", len(p.c.Choices), len(a.Choices), ErrInvalidAnswer)
-		}
-		for gi, sel := range a.Choices {
-			if len(sel) == 0 {
-				return fmt.Errorf("core: or-group %d needs at least one selection: %w", gi, ErrInvalidAnswer)
-			}
-			for _, idx := range sel {
-				if idx < 0 || idx >= len(p.c.Choices[gi].Values) {
-					return fmt.Errorf("core: or-group %d selection %d out of range [0,%d): %w", gi, idx, len(p.c.Choices[gi].Values), ErrInvalidAnswer)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Done reports whether the dialog has reached its terminal state.
-func (st *Stepper) Done() bool {
-	select {
-	case <-st.finished:
-		return true
-	default:
-		return false
-	}
-}
+func (st *Stepper) Done() bool { return st.current().Done }
 
 // Result returns the terminal state (zero Step when still running).
 func (st *Stepper) Result() Step {
-	if !st.Done() {
-		return Step{}
+	if step := st.current(); step.Done {
+		return step
 	}
-	return st.terminalStep()
+	return Step{}
 }
 
-// Close tears the session down: the lifetime context is cancelled, so
-// the pipeline goroutine unblocks (its designer calls return the
-// lifetime error), any in-flight wizard work aborts through the
-// AfterFunc relay, and the goroutine exits. Idempotent and safe to
-// call at any time, including concurrently with Step/Answer.
+// closed reports whether Close has been called.
+func (st *Stepper) closed() bool { return st.d.spec.Err() != nil }
+
+// Close ends the session: work in flight in a concurrent call aborts
+// through that call's context, prefetched retrievals abort too, and the
+// dialog reports a terminal context.Canceled failure. Idempotent and
+// safe to call at any time, including concurrently with Step/Answer.
 func (st *Stepper) Close() {
-	st.closeOnce.Do(st.cancel)
+	st.stopSpec()
+	st.mu.Lock()
+	if st.cancel != nil {
+		st.cancel()
+	}
+	st.mu.Unlock()
 }

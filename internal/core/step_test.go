@@ -62,7 +62,7 @@ func driveStepper(t *testing.T, st *core.Stepper, gd core.GroupingDesigner, choi
 	return core.Step{}
 }
 
-// TestStepperMatchesSessionRun drives the inverted dialog on Fig. 1
+// TestStepperMatchesSessionRun drives the Stepper on Fig. 1
 // and checks the refined mapping set is byte-identical to the
 // callback-style Session.Run with the same designer.
 func TestStepperMatchesSessionRun(t *testing.T) {
@@ -152,8 +152,26 @@ func TestStepperInvalidAnswer(t *testing.T) {
 	}
 }
 
-// TestStepperClose checks Close unblocks the pipeline goroutine and
-// the session reports a terminal error.
+// TestStepperCloseConcurrent closes a stepper while an Answer computes
+// the next question on another goroutine, as Manager.Delete does: the
+// answer returns, and the session ends failed.
+func TestStepperCloseConcurrent(t *testing.T) {
+	fig := scenarios.NewFigure1(true)
+	st := core.NewStepper(context.Background(), core.NewSession(fig.SrcDeps, fig.Source), fig.Set)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		st.Answer(context.Background(), core.Answer{Scenario: 1})
+	}()
+	st.Close()
+	<-done
+	if step, err := st.Step(context.Background()); err != nil || !step.Done || step.Err == nil {
+		t.Fatalf("step after Close = %+v, err %v; want a terminal failure", step, err)
+	}
+}
+
+// TestStepperClose checks a session closed while parked at a question
+// reports a terminal error.
 func TestStepperClose(t *testing.T) {
 	fig := scenarios.NewFigure1(true)
 	st := core.NewStepper(context.Background(), core.NewSession(fig.SrcDeps, fig.Source), fig.Set)
@@ -164,7 +182,7 @@ func TestStepperClose(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for !st.Done() {
 		if time.Now().After(deadline) {
-			t.Fatal("pipeline goroutine did not exit after Close")
+			t.Fatal("stepper not Done after Close")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -98,8 +98,8 @@ func RunAll(cfg Config) []Failure {
 }
 
 // forceParallel raises GOMAXPROCS to at least n for the duration of
-// fn, so the parallel chase and query paths are exercised even on the
-// single-core CI box.
+// fn, so the parallel chase path is exercised even on a single-core
+// box.
 func forceParallel(n int, fn func()) {
 	old := runtime.GOMAXPROCS(0)
 	if old < n {

@@ -9,9 +9,9 @@
 //   - chase (CheckChase): Chase vs ChaseSerial (byte-identity) vs
 //     NaiveChase, a from-scratch no-index nested-loop reference
 //     evaluator, compared up to instance isomorphism via internal/homo.
-//   - query (CheckQuery): the cost-based planner (serial, parallel,
-//     Limit, First, Neq pushdown) vs the naive scan evaluator on
-//     generated conjunctive probes.
+//   - query (CheckQuery): the cost-based planner (plain, Limit, First,
+//     Neq pushdown) vs the naive scan evaluator on generated
+//     conjunctive probes.
 //   - wizard (CheckWizard): Stepper dialogs vs Session.Run
 //     byte-identity under seeded valid and invalid answer sequences.
 //   - server (CheckServer): wire sessions vs in-process sessions plus

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"muse/internal/nr"
@@ -238,19 +237,17 @@ func New(cat *nr.Catalog) *Instance {
 	return inst
 }
 
-// topIDs caches the SetID of each top-level set type. A SetRef is
-// immutable, so one shared ref per set type is safe across all
-// instances — and its canonical key is rendered once, not once per
+// topIDKey keys the SetID memoized on each top-level set type. A
+// SetRef is immutable, so one shared ref per set type is safe across
+// all instances — and its canonical key is rendered once, not once per
 // instance construction.
-var topIDs sync.Map // *nr.SetType → *SetRef
+type topIDKey struct{}
 
 // TopID returns the SetID of a top-level set type.
 func TopID(st *nr.SetType) *SetRef {
-	if r, ok := topIDs.Load(st); ok {
-		return r.(*SetRef)
-	}
-	r, _ := topIDs.LoadOrStore(st, NewSetRef(st.Schema.Name+"."+st.Path.String()))
-	return r.(*SetRef)
+	return st.Memo(topIDKey{}, func() any {
+		return NewSetRef(st.Schema.Name + "." + st.Path.String())
+	}).(*SetRef)
 }
 
 // EnsureSet returns the occurrence with the given SetID, creating an

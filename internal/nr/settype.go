@@ -3,6 +3,7 @@ package nr
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // SetType describes one nested set of a schema: its position, its
@@ -42,6 +43,25 @@ type SetType struct {
 	// slots maps every atom and set-field label to its position in a
 	// tuple's value array, assigned by the catalog (see Slot).
 	slots map[string]int
+	// memo holds what other packages derive from the set type alone
+	// (see Memo).
+	memo sync.Map
+}
+
+// Memo returns the value stored on the set type under key, storing
+// mk's result on first use. Packages cache here what they derive from
+// a set type alone (instance's top-level SetIDs, the server's column
+// order): the value lives exactly as long as the catalog, where a
+// process-wide map keyed by set type would pin every catalog ever
+// built. Use a package-private key type, as with context keys. Safe
+// for concurrent use; mk may run more than once under a race, and one
+// result wins.
+func (st *SetType) Memo(key any, mk func() any) any {
+	if v, ok := st.memo.Load(key); ok {
+		return v
+	}
+	v, _ := st.memo.LoadOrStore(key, mk())
+	return v
 }
 
 // NumSlots returns the number of value slots of the element record:

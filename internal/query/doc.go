@@ -13,8 +13,8 @@
 //
 // Invariants:
 //
-//   - Results are deterministic and independent of the plan chosen,
-//     the parallelism level, and whether indexes were warm.
+//   - Results are deterministic and independent of the plan chosen
+//     and whether indexes were warm.
 //   - Options.Timeout and Options.Ctx compose: a lapsed deadline
 //     surfaces as ErrTimeout (the wizards then fall back to synthetic
 //     examples), while a cancelled context surfaces as the context's

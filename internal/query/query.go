@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"muse/internal/instance"
@@ -60,12 +58,6 @@ type Options struct {
 	// is nil (or indexes a different instance) an ephemeral store is
 	// built for this evaluation, restoring the old per-Eval behavior.
 	Store *IndexStore
-	// Parallel > 1 races that many contiguous partitions of the first
-	// atom's candidate set concurrently under the same deadline. The
-	// merged results are deterministic — partitions are concatenated in
-	// candidate order, so (absent a timeout) the output is identical to
-	// the serial evaluation.
-	Parallel int
 	// Naive disables planning and indexing: atoms are evaluated in the
 	// given order by scanning. It is the reference semantics the
 	// planned evaluator is tested against.
@@ -180,12 +172,7 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 	if opt.Timeout > 0 {
 		e.deadline = time.Now().Add(opt.Timeout)
 	}
-	var err error
-	if opt.Parallel > 1 && len(q.Atoms) > 0 && !opt.Naive {
-		err = e.searchParallel(opt.Parallel)
-	} else {
-		err = e.search(0)
-	}
+	err := e.search(0)
 	// Restore the caller's atom order in the reported matches.
 	for mi := range e.out {
 		orig := make([]*instance.Tuple, len(e.out[mi].Tuples))
@@ -209,8 +196,8 @@ func (q *Query) First(in *instance.Instance, timeout time.Duration) (Match, bool
 	return q.FirstOpts(in, Options{Timeout: timeout})
 }
 
-// FirstOpts is First with the full option set (shared store, parallel
-// retrieval); opt.Limit is forced to 1.
+// FirstOpts is First with the full option set (shared store, context,
+// observability); opt.Limit is forced to 1.
 func (q *Query) FirstOpts(in *instance.Instance, opt Options) (Match, bool, error) {
 	opt.Limit = 1
 	ms, err := q.Eval(in, opt)
@@ -519,25 +506,15 @@ type evalState struct {
 	// boundStack records value variables in binding order; unbindTo
 	// truncates it to a mark, so backtracking allocates nothing.
 	boundStack []string
-	// first, when non-nil, overrides the first atom's candidate list
-	// (a contiguous partition in parallel mode).
-	first []*instance.Tuple
-	// raceLost reports that a lower partition already filled the match
-	// quota, so this partition's work is moot (parallel mode only).
-	raceLost func() bool
 }
 
 // aborted reports (gated to every 256 steps) whether the search must
-// stop: a lower parallel partition already filled the match quota, the
-// deadline passed (ErrTimeout), or the caller's context was cancelled
-// (ctx.Err()).
+// stop: the deadline passed (ErrTimeout), or the caller's context was
+// cancelled (ctx.Err()).
 func (e *evalState) aborted() error {
 	e.steps++
 	if e.steps%256 != 0 {
 		return nil
-	}
-	if e.raceLost != nil && e.raceLost() {
-		return ErrTimeout
 	}
 	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
 		return ErrTimeout
@@ -585,86 +562,12 @@ func (e *evalState) search(i int) error {
 	return nil
 }
 
-// searchParallel races Parallel contiguous partitions of the first
-// atom's candidate set, each explored by a private evaluation state
-// over the shared (concurrency-safe) index store, under the shared
-// deadline. Partition outputs are concatenated in candidate order, so
-// the merged result is the serial result; a partition whose lower
-// neighbors already filled the limit aborts early.
-func (e *evalState) searchParallel(workers int) error {
-	cands := e.candidates(0)
-	if len(cands) == 0 {
-		return nil
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	outs := make([][]Match, workers)
-	errs := make([]error, workers)
-	scans := make([]int64, workers)
-	// quotaFrom is the lowest partition index that filled the limit on
-	// its own; partitions above it stop early (their matches can never
-	// be merged).
-	quotaFrom := atomic.Int64{}
-	quotaFrom.Store(int64(workers))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(cands)/workers, (w+1)*len(cands)/workers
-		clone := &evalState{
-			q: e.q, plan: e.plan, in: e.in, store: e.store,
-			values:   make(map[string]instance.Value),
-			tuples:   make([]*instance.Tuple, len(e.q.Atoms)),
-			opt:      e.opt,
-			deadline: e.deadline,
-			first:    cands[lo:hi],
-		}
-		w := w
-		clone.raceLost = func() bool { return quotaFrom.Load() < int64(w) }
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = clone.search(0)
-			if e.opt.Limit > 0 && len(clone.out) >= e.opt.Limit {
-				for {
-					cur := quotaFrom.Load()
-					if int64(w) >= cur || quotaFrom.CompareAndSwap(cur, int64(w)) {
-						break
-					}
-				}
-			}
-			outs[w] = clone.out
-			scans[w] = clone.scanned
-		}()
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		e.scanned += scans[w]
-	}
-	for w := 0; w < workers; w++ {
-		e.out = append(e.out, outs[w]...)
-		if e.opt.Limit > 0 && len(e.out) >= e.opt.Limit {
-			e.out = e.out[:e.opt.Limit]
-			return nil
-		}
-		if errs[w] != nil {
-			// This partition timed out before the quota was met: report
-			// the deterministic prefix found so far, like the serial
-			// evaluator does.
-			return errs[w]
-		}
-	}
-	return nil
-}
-
 // candidates narrows the tuple pool for atom i following its plan:
 // nested atoms read the occurrence their parent references, indexed
 // atoms probe the store's (possibly composite) hash index with a key
 // composed in a reused buffer, and the rest scan. The returned slice
 // is shared and read-only.
 func (e *evalState) candidates(i int) []*instance.Tuple {
-	if i == 0 && e.first != nil {
-		return e.first
-	}
 	a := e.q.Atoms[i]
 	p := &e.plan.plans[i]
 	if a.Parent != "" {

@@ -4,8 +4,9 @@
 // test harness — can drive mapping design without linking the Go
 // packages.
 //
-// The package builds on core.Stepper, which inverts the callback-style
-// Session.Run into a resumable question/answer state machine. A
+// The package builds on core.Stepper, which serves the wizards' dialog
+// state one question per request: each request computes the next
+// question on its own goroutine, and a parked session is plain data. A
 // Manager owns the live sessions: each is addressed by an unguessable
 // token, serialized by a per-session mutex, bounded in count (least
 // recently used idle sessions are evicted under pressure) and in age

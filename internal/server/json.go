@@ -14,9 +14,8 @@ import (
 // map[string]any tree: two-space indentation, ": " after keys, HTML
 // escaping (<, >, &), a trailing newline after the document. Callers
 // are responsible for emitting object keys in sorted order — that is
-// what map encoding produces — and the differential test in
-// render_direct_test.go holds the direct renderer to exactly that
-// contract on full dialogs.
+// what map encoding produces — and the envelope goldens hold the
+// direct renderer to exactly that contract on full dialogs.
 //
 // The writer, its buffer, and its value scratch are pooled; the step
 // path serves a response without allocating the body.

@@ -62,17 +62,18 @@ var (
 // Stepper call (acquire tries a TryLock so a busy session answers 409
 // instead of queueing).
 //
-// During a store resume the session is briefly registered as a locked
-// placeholder with a nil Stepper; concurrent acquires of the token see
-// it busy (409), exactly as if the first resumer's request were
-// already being served.
+// While it is created or resumed from the store, the session is
+// registered as a locked placeholder with a nil Stepper; concurrent
+// acquires of the token see it busy (409), exactly as if the first
+// request were already being served.
 type Session struct {
 	// Token addresses the session; 16 random bytes, hex-encoded.
 	Token string
 	// ScenarioName is the scenario the session designs.
 	ScenarioName string
-	// Stepper holds the dialog state (nil only while a resume is
-	// rebuilding it; the placeholder is locked for that whole window).
+	// Stepper holds the dialog state (nil only while a create or a
+	// resume builds it; the placeholder is locked for that whole
+	// window).
 	Stepper *core.Stepper
 	// Created is the creation time.
 	Created time.Time
@@ -226,9 +227,7 @@ func (mg *Manager) Prime(ctx context.Context) {
 		cs.Grouping.Store = store
 		cs.Grouping.Prefetch = false
 		cs.Disambiguation.Store = store
-		st := core.NewStepper(ctx, cs, sc.Set)
-		_, _ = st.Step(ctx)
-		st.Close()
+		core.NewStepper(ctx, cs, sc.Set).Close()
 	}
 }
 
@@ -244,6 +243,10 @@ func newToken() string {
 // Create starts a session over the named scenario. The returned
 // session is acquired: the caller drives the first Step and must
 // Release it. ctx bounds the wizard work up to the first question.
+//
+// Like a resume, the session is registered as a locked placeholder
+// and its first question is computed after the manager lock is
+// released, so a slow creation never stalls other sessions' requests.
 func (mg *Manager) Create(ctx context.Context, scenario string) (*Session, error) {
 	sc, ok := mg.Scenarios[scenario]
 	if !ok {
@@ -251,46 +254,58 @@ func (mg *Manager) Create(ctx context.Context, scenario string) (*Session, error
 	}
 
 	now := time.Now()
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	if mg.sweepDue(now) || len(mg.sessions) >= mg.max() {
-		mg.sweepLocked(now)
-	}
-	if len(mg.sessions) >= mg.max() {
-		if !mg.evictLRULocked() {
-			mg.mRejected.Inc()
-			return nil, ErrFull
-		}
-	}
-
 	s := &Session{
 		Token:        newToken(),
 		ScenarioName: scenario,
 		Created:      now,
 	}
+	s.lastUsed.Store(now.UnixNano())
+	s.mu.Lock() // acquired for the caller; no contention possible yet
+
+	mg.mu.Lock()
+	if mg.sweepDue(now) || len(mg.sessions) >= mg.max() {
+		mg.sweepLocked(now)
+	}
+	if len(mg.sessions) >= mg.max() {
+		if !mg.evictLRULocked() {
+			mg.mu.Unlock()
+			mg.mRejected.Inc()
+			return nil, ErrFull
+		}
+	}
 	// Persist the creation before the session exists anywhere else: a
 	// crash right after the client learns the token must find it in the
-	// store. The fsync cost sits under the manager lock, like the rest
-	// of session setup — creations are rare next to steps.
+	// store. The fsync cost sits under the manager lock, with the
+	// capacity check — creations are rare next to steps.
 	if mg.Store != nil {
 		if err := mg.Store.Create(s.Token, scenario); err != nil {
+			mg.mu.Unlock()
 			return nil, fmt.Errorf("server: persisting session: %w", err)
 		}
 	}
-	s.lastUsed.Store(now.UnixNano())
-	s.mu.Lock() // acquired for the caller; no contention possible yet
-	s.Stepper = core.NewStepper(ctx, mg.coreSession(sc), sc.Set)
 	mg.sessions[s.Token] = s
 	mg.mStarted.Inc()
 	mg.gLive.Set(int64(len(mg.sessions)))
+	mg.mu.Unlock()
+
+	mg.publish(s, core.NewStepper(ctx, mg.coreSession(sc), sc.Set))
 	return s, nil
+}
+
+// publish installs a placeholder's stepper. The write happens under
+// the manager lock as well as the session's, so Delete and Close can
+// read Stepper under the manager lock alone.
+func (mg *Manager) publish(s *Session, st *core.Stepper) {
+	mg.mu.Lock()
+	s.Stepper = st
+	mg.mu.Unlock()
 }
 
 // coreSession builds the core session for a scenario the way every
 // dialog — created or resumed — must be built, so a resumed replay
 // sees bit-for-bit the configuration the original run had: the
-// scenario-wide index store, and prefetch off (its background workers
-// capture the request context, which is dead by the next request).
+// scenario-wide index store, and prefetch off (so a parked session
+// runs nothing between requests).
 func (mg *Manager) coreSession(sc *Scenario) *core.Session {
 	cs := core.NewSession(sc.Deps, sc.Real).Observe(mg.Obs)
 	store := sc.sharedStore(mg.reg())
@@ -414,7 +429,7 @@ func (mg *Manager) resume(ctx context.Context, token string, now time.Time) (*Se
 		return nil, err
 	}
 	s.ScenarioName = scenario
-	s.Stepper = st
+	mg.publish(s, st)
 	mg.mResumes.Inc()
 	return s, nil
 }
@@ -453,9 +468,11 @@ func (mg *Manager) rebuild(ctx context.Context, token string) (*core.Stepper, st
 // already cancelled the session's work, so the wait is short). A token
 // that is not live but still stored deletes cleanly too.
 func (mg *Manager) Delete(token string) error {
+	var st *core.Stepper
 	mg.mu.Lock()
 	s, ok := mg.sessions[token]
 	if ok {
+		st = s.Stepper
 		delete(mg.sessions, token)
 		mg.gLive.Set(int64(len(mg.sessions)))
 	}
@@ -472,12 +489,12 @@ func (mg *Manager) Delete(token string) error {
 		}
 		return ErrNoSession
 	}
-	if s.Stepper != nil {
-		s.Stepper.Close()
+	if st != nil {
+		st.Close()
 	}
-	s.mu.Lock() // drain any in-flight handler (or resume) on the session
+	s.mu.Lock() // drain any in-flight handler (or create, or resume) on the session
 	if s.Stepper != nil {
-		s.Stepper.Close() // a resume finished while we waited
+		s.Stepper.Close() // a create or resume finished while we waited
 	}
 	s.mu.Unlock()
 	return nil
@@ -487,17 +504,17 @@ func (mg *Manager) Delete(token string) error {
 // HTTP listener has drained.
 func (mg *Manager) Close() {
 	mg.mu.Lock()
-	all := make([]*Session, 0, len(mg.sessions))
+	all := make([]*core.Stepper, 0, len(mg.sessions))
 	for _, s := range mg.sessions {
-		all = append(all, s)
+		if s.Stepper != nil {
+			all = append(all, s.Stepper)
+		}
 	}
 	mg.sessions = make(map[string]*Session)
 	mg.gLive.Set(0)
 	mg.mu.Unlock()
-	for _, s := range all {
-		if s.Stepper != nil {
-			s.Stepper.Close()
-		}
+	for _, st := range all {
+		st.Close()
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"sync"
 
 	"muse/internal/core"
 	"muse/internal/instance"
@@ -12,15 +11,14 @@ import (
 	"muse/internal/rank"
 )
 
-// This file is the serving twin of render.go: the same response
-// shapes, written straight into a pooled buffer instead of through a
-// map[string]any tree and reflection-driven encoding. The map-based
-// renderer stays as the executable specification — the differential
-// test drives full dialogs through both and requires byte-identical
-// output — while every step-producing request is served by these
-// writers. Object keys are emitted in sorted order (what encoding/json
-// does to map keys); runtime-ordered keys (set names, tuple columns)
-// are sorted here, with the per-set column order cached per SetType.
+// This file renders every step-producing response straight into a
+// pooled buffer, with no map[string]any tree and no reflection. The
+// bytes are what encoding/json (two-space indent) produces for the
+// equivalent map tree: object keys are emitted in sorted order, and
+// runtime-ordered keys (set names, tuple columns) are sorted here, with
+// each set type's column order memoized on the set type. The envelope
+// goldens (testdata/envelope_*.json) pin the output; docs/API.md
+// documents the shapes.
 
 // rowKey is one column of a tuple rendering: an atomic attribute, or
 // a nested set field with its child type.
@@ -29,27 +27,33 @@ type rowKey struct {
 	child *nr.SetType // nil for atoms
 }
 
-// rowKeysCache maps *nr.SetType to its sorted []rowKey. SetTypes are
-// immutable once built by the catalog, so the cache never invalidates.
-var rowKeysCache sync.Map
+// rowKeysMemo keys a set type's sorted columns, memoized on the set
+// type itself (set types are immutable once built by the catalog, so
+// the memo never invalidates, and it goes when the catalog does).
+type rowKeysMemo struct{}
 
 func rowKeys(st *nr.SetType) []rowKey {
-	if ks, ok := rowKeysCache.Load(st); ok {
-		return ks.([]rowKey)
-	}
-	ks := make([]rowKey, 0, len(st.Atoms)+len(st.SetFields))
-	for _, a := range st.Atoms {
-		ks = append(ks, rowKey{name: a})
-	}
-	for _, f := range st.SetFields {
-		ks = append(ks, rowKey{name: f, child: st.Child(f)})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].name < ks[j].name })
-	ks2, _ := rowKeysCache.LoadOrStore(st, ks)
-	return ks2.([]rowKey)
+	return st.Memo(rowKeysMemo{}, func() any {
+		ks := make([]rowKey, 0, len(st.Atoms)+len(st.SetFields))
+		for _, a := range st.Atoms {
+			ks = append(ks, rowKey{name: a})
+		}
+		for _, f := range st.SetFields {
+			ks = append(ks, rowKey{name: f, child: st.Child(f)})
+		}
+		sort.Slice(ks, func(i, j int) bool { return ks[i].name < ks[j].name })
+		return ks
+	}).([]rowKey)
 }
 
-// appendInstance writes the RenderInstance shape.
+// appendInstance writes an instance as
+//
+//	{"schema": "CompDB", "sets": {"Companies": [ {tuple} ... ]}}
+//
+// Atomic attributes map to their display strings (null when unset); a
+// nested set field maps to {"id": "SKProjects(IBM)", "tuples": [ ... ]},
+// so the grouping — which tuples share a set — stays visible, exactly
+// what the wizard's two-scenario questions hinge on.
 func appendInstance(w *jw, in *instance.Instance) {
 	w.openObj()
 	w.key("schema")
@@ -120,8 +124,12 @@ func appendExprs(w *jw, es []mapping.Expr) {
 	w.closeArr()
 }
 
-// appendRanking writes the renderRanking shape. Sorted keys: best,
-// confidence, decisive, scores; per score: evidence, option, value.
+// appendRanking writes one rank.Ranking: the per-option scores with
+// their evidence, the recommended option, and whether the margin
+// clears the scorer's threshold. Sorted keys: best, confidence,
+// decisive, scores; per score: evidence, option, value. The rank
+// package pre-quantizes every float, so the rendering is short and
+// deterministic.
 func appendRanking(w *jw, r *rank.Ranking) {
 	w.openObj()
 	w.key("best")
@@ -146,7 +154,7 @@ func appendRanking(w *jw, r *rank.Ranking) {
 	w.closeObj()
 }
 
-// appendGrouping writes the renderGrouping shape.
+// appendGrouping writes a Muse-G two-scenario question.
 func appendGrouping(w *jw, q *core.GroupingQuestion) {
 	w.openObj()
 	w.key("confirmed")
@@ -186,7 +194,8 @@ func appendGrouping(w *jw, q *core.GroupingQuestion) {
 	w.closeObj()
 }
 
-// appendChoice writes the renderChoice shape.
+// appendChoice writes the single Muse-D question of an ambiguous
+// mapping.
 func appendChoice(w *jw, q *core.ChoiceQuestion) {
 	w.openObj()
 	w.key("choices")
@@ -223,7 +232,9 @@ func appendChoice(w *jw, q *core.ChoiceQuestion) {
 	w.closeObj()
 }
 
-// appendMappings writes the renderMappings shape.
+// appendMappings writes a terminal result: the refined mappings in the
+// Muse document syntax (the text parser.FormatMapping prints for the
+// CLI, so wire results are byte-comparable to in-process runs).
 func appendMappings(w *jw, set *mapping.Set) {
 	w.openArr()
 	for _, m := range set.Mappings {
@@ -237,7 +248,8 @@ func appendMappings(w *jw, set *mapping.Set) {
 	w.closeArr()
 }
 
-// appendStep writes the renderStep shape.
+// appendStep writes one core.Step. Its state is one of
+// "grouping_question", "choice_question", "done", "failed".
 func appendStep(w *jw, s core.Step) {
 	w.openObj()
 	switch {
@@ -273,8 +285,9 @@ func appendStep(w *jw, s core.Step) {
 	w.closeObj()
 }
 
-// appendStepBody writes the stepBody envelope: the full document of a
-// step-producing response, terminated like Encoder.Encode.
+// appendStepBody writes the session envelope around a step — token,
+// scenario, step — the full document of a step-producing response,
+// terminated like Encoder.Encode.
 func appendStepBody(w *jw, s *Session, step core.Step) {
 	w.openObj()
 	w.key("scenario")

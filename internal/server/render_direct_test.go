@@ -5,24 +5,243 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"muse/internal/core"
 	"muse/internal/obs"
 )
 
-// encodeRef renders body the way writeJSON historically did — an
-// encoding/json Encoder with two-space indentation — and is the
-// reference the direct renderer must match byte for byte.
-func encodeRef(t *testing.T, body any) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(body); err != nil {
+// The envelope goldens pin the wire bytes of every response kind:
+// testdata/envelope_<kind>.json holds the concatenated bodies, exactly
+// as served by the direct renderer, of
+//
+//   - grouping: unranked Muse-G question steps,
+//   - choice:   unranked Muse-D question steps,
+//   - ranked:   question steps carrying a ranking / rankings block,
+//   - terminal: done steps and done result documents,
+//   - error:    failed steps, failed result documents, and {error,code}
+//     bodies.
+//
+// TestRenderDirectDialogs serves full dialogs over every builtin
+// scenario, with ranking off and on, answered by a fixed policy
+// (scenario 1 + n%2; the first alternative of every or-group);
+// TestRenderDirectFailed serves the error kinds. Session tokens are
+// replaced by "TOKEN" and every request carries a fixed request id, so
+// the bytes are deterministic. Regenerate with UPDATE_GOLDEN=1.
+
+const goldenRID = "golden-request"
+
+// goldenRecorder serves requests and files each body under its kind.
+type goldenRecorder struct {
+	t    *testing.T
+	base string
+	out  map[string]*bytes.Buffer
+}
+
+func newGoldenRecorder(t *testing.T) *goldenRecorder {
+	return &goldenRecorder{t: t, out: map[string]*bytes.Buffer{}}
+}
+
+func (g *goldenRecorder) do(method, path, body, token string) (int, map[string]any) {
+	g.t.Helper()
+	req, err := http.NewRequest(method, g.base+path, strings.NewReader(body))
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	req.Header.Set(RequestIDHeader, goldenRID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		g.t.Fatalf("%s %s: body is not JSON: %v", method, path, err)
+	}
+	if token == "" {
+		token, _ = doc["token"].(string)
+	}
+	if token != "" {
+		raw = bytes.ReplaceAll(raw, []byte(token), []byte("TOKEN"))
+	}
+	g.file(envelopeKind(doc), raw)
+	return resp.StatusCode, doc
+}
+
+func (g *goldenRecorder) file(kind string, raw []byte) {
+	if g.out[kind] == nil {
+		g.out[kind] = new(bytes.Buffer)
+	}
+	g.out[kind].Write(raw)
+}
+
+// envelopeKind classifies a served body.
+func envelopeKind(doc map[string]any) string {
+	if _, ok := doc["code"]; ok {
+		return "error"
+	}
+	state, _ := doc["state"].(string)
+	if step, ok := doc["step"].(map[string]any); ok {
+		state, _ = step["state"].(string)
+		if q, ok := step["grouping"].(map[string]any); ok && q["ranking"] != nil {
+			return "ranked"
+		}
+		if q, ok := step["choice"].(map[string]any); ok && q["rankings"] != nil {
+			return "ranked"
+		}
+	}
+	switch state {
+	case "grouping_question":
+		return "grouping"
+	case "choice_question":
+		return "choice"
+	case "done":
+		return "terminal"
+	}
+	return "error"
+}
+
+// dialog serves one full dialog and its result document.
+func (g *goldenRecorder) dialog(scenario string) {
+	g.t.Helper()
+	status, doc := g.do("POST", "/v1/sessions", `{"scenario":"`+scenario+`"}`, "")
+	if status != http.StatusCreated {
+		g.t.Fatalf("create %s: status %d", scenario, status)
+	}
+	token := doc["token"].(string)
+	for n := 0; ; n++ {
+		if n > 100 {
+			g.t.Fatalf("%s: dialog did not terminate", scenario)
+		}
+		step := doc["step"].(map[string]any)
+		var body string
+		switch step["state"] {
+		case "grouping_question":
+			body = `{"scenario":` + string(rune('1'+n%2)) + `}`
+		case "choice_question":
+			groups := len(step["choice"].(map[string]any)["choices"].([]any))
+			body = `{"choices":[` + strings.TrimSuffix(strings.Repeat("[0],", groups), ",") + `]}`
+		default:
+			if status, _ := g.do("GET", "/v1/sessions/"+token+"/result", "", token); status != http.StatusOK {
+				g.t.Fatalf("%s result: status %d", scenario, status)
+			}
+			return
+		}
+		if status, doc = g.do("POST", "/v1/sessions/"+token+"/answer", body, token); status != http.StatusOK {
+			g.t.Fatalf("%s answer %d: status %d", scenario, n+1, status)
+		}
+	}
+}
+
+// TestRenderDirectDialogs checks the question and terminal envelopes
+// of full served dialogs against their goldens.
+func TestRenderDirectDialogs(t *testing.T) {
+	g := newGoldenRecorder(t)
+	names := make([]string, 0, 2)
+	for name := range Builtin() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, threshold := range []float64{0, 0.1} {
+		mg := NewManager(Builtin(), obs.New())
+		mg.AutoThreshold = threshold
+		ts := httptest.NewServer(New(mg))
+		for _, name := range names {
+			label := name
+			if threshold > 0 {
+				label += "-ranked"
+			}
+			t.Run(label, func(t *testing.T) {
+				g.t, g.base = t, ts.URL
+				g.dialog(name)
+			})
+		}
+		ts.Close()
+		mg.Close()
+	}
+	g.t = t
+	g.compare("grouping", "choice", "ranked", "terminal")
+}
+
+// TestRenderDirectFailed checks the error envelopes against their
+// golden: {error,code} bodies, and the step and result of a session
+// whose wizard work failed.
+func TestRenderDirectFailed(t *testing.T) {
+	g := newGoldenRecorder(t)
+	mg := NewManager(Builtin(), obs.New())
+	defer mg.Close()
+	ts := httptest.NewServer(New(mg))
+	defer ts.Close()
+	g.base = ts.URL
+	_, doc := g.do("POST", "/v1/sessions", `{"scenario":"fig1"}`, "")
+	g.out = map[string]*bytes.Buffer{} // the question above has its own golden
+	live := doc["token"].(string)
+	g.do("POST", "/v1/sessions/"+live+"/answer", `{"scenario":7}`, live)
+	g.do("GET", "/v1/sessions/"+live+"/result", "", live)
+	g.do("GET", "/v1/sessions/nosuch", "", "")
+	g.do("POST", "/v1/sessions", `{"scenario":"nope"}`, "")
+	g.do("POST", "/v1/sessions", `{scenario`, "")
+	// Created under a dead context, the session's step and result are
+	// terminal failures.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	sess, err := mg.Create(dead, "fig1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	sess.Release()
+	g.do("GET", "/v1/sessions/"+sess.Token, "", sess.Token)
+	g.do("GET", "/v1/sessions/"+sess.Token+"/result", "", sess.Token)
+
+	// A failed step whose error text needs JSON and HTML escaping; no
+	// request produces one, so it is rendered directly.
+	fake := &Session{Token: "TOKEN", ScenarioName: "fig1"}
+	step := core.Step{Seq: 2, Done: true, Err: errors.New("boom: <wizard & \"chase\"> aborted\n\u2028")}
+	w := getJW()
+	appendStepBody(w, fake, step)
+	appendResult(w, fake, step)
+	g.file("error", w.bytes())
+	putJW(w)
+	g.compare("error")
+}
+
+// compare checks each kind's served bytes against its golden, or
+// rewrites the golden under UPDATE_GOLDEN.
+func (g *goldenRecorder) compare(kinds ...string) {
+	t := g.t
+	for _, kind := range kinds {
+		got := g.out[kind]
+		if got == nil {
+			t.Fatalf("no %s envelope was served", kind)
+		}
+		path := filepath.Join("testdata", "envelope_"+kind+".json")
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			i := diffAt(got.Bytes(), want)
+			t.Errorf("%s envelopes diverge from %s at byte %d:\n served: %.160q\n golden: %.160q",
+				kind, path, i, got.Bytes()[max(0, i-60):], want[max(0, i-60):])
+		}
+	}
 }
 
 func diffAt(a, b []byte) int {
@@ -33,124 +252,6 @@ func diffAt(a, b []byte) int {
 		}
 	}
 	return n
-}
-
-// requireSameStep checks both render paths on one step.
-func requireSameStep(t *testing.T, s *Session, step core.Step) {
-	t.Helper()
-	want := encodeRef(t, stepBody(s, step))
-	w := getJW()
-	appendStepBody(w, s, step)
-	got := append([]byte(nil), w.bytes()...)
-	putJW(w)
-	if !bytes.Equal(got, want) {
-		i := diffAt(got, want)
-		t.Fatalf("direct step rendering diverges at byte %d:\n direct: %.120q\n  ref:   %.120q", i, got[max(0, i-40):], want[max(0, i-40):])
-	}
-}
-
-// TestRenderDirectDialogs drives full dialogs over every builtin
-// scenario through the Stepper — with ranking disabled and enabled —
-// and requires the direct renderer to reproduce the encoding/json
-// output byte-identically on every step: grouping questions (with and
-// without the "ranking" block), choice questions (ditto "rankings"),
-// the terminal step, and the result document.
-func TestRenderDirectDialogs(t *testing.T) {
-	ctx := context.Background()
-	for _, threshold := range []float64{0, 0.1} {
-		for name := range Builtin() {
-			label := name
-			if threshold > 0 {
-				label += "-ranked"
-			}
-			t.Run(label, func(t *testing.T) {
-				mg := NewManager(Builtin(), obs.New())
-				mg.AutoThreshold = threshold
-				defer mg.Close()
-				s, err := mg.Create(ctx, name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Release()
-
-				step, err := s.Stepper.Step(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ranked := 0
-				for n := 0; !step.Done; n++ {
-					if n > 100 {
-						t.Fatal("dialog did not terminate")
-					}
-					requireSameStep(t, s, step)
-					var a core.Answer
-					switch {
-					case step.Grouping != nil:
-						if step.Grouping.Ranking != nil {
-							ranked++
-						}
-						a.Scenario = 1 + n%2
-					case step.Choice != nil:
-						if len(step.Choice.Rankings) > 0 {
-							ranked++
-						}
-						a.Choices = make([][]int, len(step.Choice.Choices))
-						for i := range a.Choices {
-							a.Choices[i] = []int{0}
-						}
-					}
-					if step, err = s.Stepper.Answer(ctx, a); err != nil {
-						t.Fatal(err)
-					}
-				}
-				requireSameStep(t, s, step)
-				if step.Err != nil {
-					t.Fatalf("dialog failed: %v", step.Err)
-				}
-				if threshold > 0 && ranked == 0 {
-					t.Fatal("AutoThreshold set but no step carried a ranking")
-				}
-				if threshold == 0 && ranked != 0 {
-					t.Fatalf("ranking disabled but %d step(s) carried one", ranked)
-				}
-
-				// The terminal result document.
-				res := s.Stepper.Result()
-				want := encodeRef(t, map[string]any{
-					"token": s.Token, "scenario": s.ScenarioName,
-					"state": "done", "questions": res.Seq, "mappings": renderMappings(res.Result),
-				})
-				w := getJW()
-				appendResult(w, s, res)
-				got := append([]byte(nil), w.bytes()...)
-				putJW(w)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("direct result rendering diverges at byte %d", diffAt(got, want))
-				}
-			})
-		}
-	}
-}
-
-// TestRenderDirectFailed covers the failed terminal step and result
-// documents, on a fabricated terminal error whose text needs JSON and
-// HTML escaping.
-func TestRenderDirectFailed(t *testing.T) {
-	s := &Session{Token: "deadbeef", ScenarioName: "fig1"}
-	step := core.Step{Seq: 2, Done: true, Err: errors.New("boom: <wizard & \"chase\"> aborted\n\u2028")}
-	requireSameStep(t, s, step)
-
-	want := encodeRef(t, map[string]any{
-		"token": s.Token, "scenario": s.ScenarioName,
-		"state": "failed", "error": step.Err.Error(),
-	})
-	w := getJW()
-	appendResult(w, s, step)
-	got := append([]byte(nil), w.bytes()...)
-	putJW(w)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("direct failed-result rendering diverges at byte %d:\n direct: %q\n ref:    %q", diffAt(got, want), got, want)
-	}
 }
 
 // TestWriteEscaped checks the string escaper against encoding/json on

@@ -256,20 +256,10 @@ func mapManagerErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// stepBody is a session envelope around a rendered step.
-func stepBody(s *Session, step core.Step) map[string]any {
-	return map[string]any{
-		"token":    s.Token,
-		"scenario": s.ScenarioName,
-		"step":     renderStep(step),
-	}
-}
-
-// step runs one Stepper call under the request context and writes the
-// result, marking terminal dialogs in the metrics. The body is built
-// by the direct renderer (render_direct.go) in a pooled buffer —
-// byte-identical to the map-tree encoding stepBody describes, without
-// the tree or the reflection.
+// writeStep writes a step-producing response, marking terminal
+// dialogs in the metrics. The body is built by the direct renderer
+// (render_direct.go) in a pooled buffer; the envelope goldens under
+// testdata/ pin its bytes.
 func (s *Server) writeStep(w http.ResponseWriter, sess *Session, step core.Step, status int) {
 	if step.Done {
 		sess.MarkFinished(s.Manager)
@@ -305,11 +295,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	noteSession(w, sess)
 	defer sess.Release()
-	step, err := sess.Stepper.Step(r.Context())
-	if err != nil {
-		writeError(w, http.StatusGatewayTimeout, "cancelled", err)
-		return
-	}
+	step, _ := sess.Stepper.Step(r.Context()) // Step never fails
 	s.writeStep(w, sess, step, http.StatusCreated)
 }
 
@@ -322,11 +308,7 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 	}
 	noteSession(w, sess)
 	defer sess.Release()
-	step, err := sess.Stepper.Step(r.Context())
-	if err != nil {
-		writeError(w, http.StatusGatewayTimeout, "cancelled", err)
-		return
-	}
+	step, _ := sess.Stepper.Step(r.Context()) // Step never fails
 	s.writeStep(w, sess, step, http.StatusOK)
 }
 

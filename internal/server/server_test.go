@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +320,139 @@ func TestCancelledRequestFailsSession(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("cancellation took %v to surface", elapsed)
+	}
+}
+
+// TestParkedSessionsHoldNoGoroutines: a session waiting for its
+// designer's answer is plain data. Parking many sessions at their first
+// question must not add a single goroutine.
+func TestParkedSessionsHoldNoGoroutines(t *testing.T) {
+	ctx := context.Background()
+	mg := server.NewManager(server.Builtin(), obs.New())
+	defer mg.Close()
+	mg.Prime(ctx)
+	park := func() {
+		sess, err := mg.Create(ctx, "fig1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Release()
+		step, err := sess.Stepper.Step(ctx)
+		if err != nil || step.Grouping == nil {
+			t.Fatalf("fig1 first step = %+v, err %v; want a grouping question", step, err)
+		}
+	}
+	park()
+	before := runtime.NumGoroutine()
+	const n = 32
+	for i := 0; i < n; i++ {
+		park()
+	}
+	if got := mg.Len(); got != n+1 {
+		t.Fatalf("%d live sessions, want %d", got, n+1)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("parking %d sessions grew the goroutine count from %d to %d", n, before, after)
+	}
+}
+
+// gateSink is a span sink that, once armed, blocks its first write
+// until released: a stand-in for wizard work that takes arbitrarily
+// long.
+type gateSink struct {
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateSink) Write(p []byte) (int, error) {
+	if g.armed.Load() {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return len(p), nil
+}
+
+// TestSlowCreateDoesNotStallOtherSessions: the work toward a new
+// session's first question runs outside the manager lock, so requests
+// for other sessions proceed while it is in progress.
+func TestSlowCreateDoesNotStallOtherSessions(t *testing.T) {
+	ctx := context.Background()
+	o := obs.New()
+	gate := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
+	o.Tr.SetSink(gate)
+	mg := server.NewManager(server.Builtin(), o)
+	defer mg.Close()
+	other, err := mg.Create(ctx, "fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Release()
+
+	gate.armed.Store(true)
+	created := make(chan error, 1)
+	go func() {
+		sess, err := mg.Create(ctx, "fig1")
+		if err == nil {
+			sess.Release()
+		}
+		created <- err
+	}()
+	<-gate.entered // the create is blocked inside its wizard work
+
+	acquired := make(chan error, 1)
+	go func() {
+		sess, err := mg.Acquire(ctx, other.Token)
+		if err == nil {
+			sess.Release()
+		}
+		acquired <- err
+	}()
+	select {
+	case err := <-acquired:
+		if err != nil {
+			t.Errorf("acquire during a blocked create: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("acquire of another session waited for a blocked create")
+		defer func() { <-acquired }()
+	}
+	close(gate.release)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAnswerRacingDelete: an answer to a session that Delete closed
+// after the handler acquired it fails as cancelled (504), not as an
+// invalid answer.
+func TestAnswerRacingDelete(t *testing.T) {
+	ctx := context.Background()
+	mg := server.NewManager(server.Builtin(), nil)
+	defer mg.Close()
+	sess, err := mg.Create(ctx, "fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- mg.Delete(sess.Token) }()
+	// Delete closes the stepper at once, then waits for the release.
+	deadline := time.Now().Add(5 * time.Second)
+	for !sess.Stepper.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("Delete did not close the acquired session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := mg.Answer(ctx, sess, core.Answer{Scenario: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("answer after Delete: err %v, want context.Canceled", err)
+	}
+	sess.Release()
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -279,10 +279,10 @@ func NewAutoDesigner(threshold float64, gd GroupingDesigner, dd DisambiguationDe
 // --- serving: resumable dialogs and the HTTP session server ---
 
 type (
-	// Stepper is a Session inverted into a resumable question/answer
-	// state machine: pull the pending question with Step, push replies
-	// with Answer — the shape a server needs to host one wizard dialog
-	// across many requests.
+	// Stepper serves a Session's dialog one question at a time: read
+	// the pending question with Step, submit replies with Answer — the
+	// shape a server needs to host one wizard dialog across many
+	// requests.
 	Stepper = core.Stepper
 	// Step is the externally visible state of a Stepper: a pending
 	// question or the terminal result.
